@@ -25,9 +25,14 @@ def record_bench(area: str, entry: dict) -> pathlib.Path:
     last; each entry is stamped with the wall-clock time so regression
     gates (``tests/perf``) can compare against the recorded baseline.
     Failures to write (read-only checkout) are swallowed: persistence is
-    an observability feature, never a reason to fail a bench.
+    an observability feature, never a reason to fail a bench.  Smoke
+    entries (``entry["smoke"]`` true) are not written at all: tiny-N
+    runs are no baseline, and the tests that make them must leave the
+    tracked trajectory files untouched.
     """
     path = REPO_ROOT / f"BENCH_{area}.json"
+    if entry.get("smoke"):
+        return path
     try:
         try:
             payload = json.loads(path.read_text())

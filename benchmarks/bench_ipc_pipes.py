@@ -21,7 +21,11 @@ from _common import (  # noqa: E402,F401
     register_main,
 )
 
-from repro.io.streams import BufferedInputStream, make_pipe  # noqa: E402
+from repro.io.streams import (  # noqa: E402
+    BufferedInputStream,
+    InputStream,
+    make_pipe,
+)
 from repro.jvm.threads import JThread, ThreadGroup  # noqa: E402
 from repro.procsim.model import ProcessCostModel  # noqa: E402
 
@@ -115,10 +119,15 @@ def test_bench_in_vm_pipe_throughput(benchmark):
 def test_bench_line_read_buffered_vs_unbuffered(benchmark):
     """Transport fast path, layer 1: ``read_line`` through a pipe.
 
-    Unbuffered, every byte costs one pipe condition-variable acquisition
-    (``read_line`` → ``read_byte`` → ``read(1)``).  Buffered, lock
-    traffic scales with 8 KB chunks.  The dist protocol reads every
-    JSON-lines frame this way, so this ratio is the frame-receive win.
+    Three paths, each timed explicitly:
+
+    * lock per byte: the generic ``InputStream.read_line`` loop
+      (``read_byte`` → ``read(1)``, one pipe condition acquisition per
+      byte) — what every raw pipe paid before the ring scanned lines;
+    * lock per line: ``PipedInputStream.read_line``, one lock session
+      per line and no read-ahead (the shell's shared stdin);
+    * buffered: ``BufferedInputStream``, lock traffic scales with 8 KB
+      chunks.  The dist protocol reads every JSON-lines frame this way.
     """
     root = ThreadGroup(None, "system")
 
@@ -134,42 +143,54 @@ def test_bench_line_read_buffered_vs_unbuffered(benchmark):
         producer.start()
         return producer
 
-    def read_all_lines(source):
-        count = 0
-        while source.read_line() is not None:
-            count += 1
-        assert count == LINES
-
-    def buffered_run():
+    def piped_run(line_reader):
+        """Read every fed line with ``line_reader(pipe_reader)()``."""
         reader, writer = make_pipe(capacity=64 * 1024)
         producer = feed(writer)
-        read_all_lines(BufferedInputStream(reader))
+        read_line = line_reader(reader)
+        count = 0
+        while read_line() is not None:
+            count += 1
+        assert count == LINES
         producer.join(30)
+
+    def buffered_run():
+        piped_run(lambda reader: BufferedInputStream(reader).read_line)
+
+    def inline_lines_s(line_reader) -> float:
+        start = time.perf_counter()
+        piped_run(line_reader)
+        return LINES / (time.perf_counter() - start)
 
     benchmark.pedantic(buffered_run, rounds=5, iterations=1,
                        warmup_rounds=1)
     buffered_lines_s = LINES / benchmark.stats.stats.mean
 
-    # The unbuffered comparison point, measured inline.
-    start = time.perf_counter()
-    reader, writer = make_pipe(capacity=64 * 1024)
-    producer = feed(writer)
-    read_all_lines(reader)
-    producer.join(30)
-    unbuffered_lines_s = LINES / (time.perf_counter() - start)
+    # The comparison points, measured inline.
+    unbuffered_lines_s = inline_lines_s(
+        lambda reader: lambda: InputStream.read_line(reader))
+    lock_per_line_lines_s = inline_lines_s(
+        lambda reader: reader.read_line)
 
-    print(banner("C2b-line: pipe read_line — buffered vs unbuffered"))
+    print(banner("C2b-line: pipe read_line — per byte, per line, buffered"))
     print(f"unbuffered (lock per byte):   {unbuffered_lines_s:10.0f} "
+          f"lines/s")
+    print(f"ring scan (lock per line):    {lock_per_line_lines_s:10.0f} "
           f"lines/s")
     print(f"buffered (lock per chunk):    {buffered_lines_s:10.0f} "
           f"lines/s")
-    print(f"advantage: x{buffered_lines_s / unbuffered_lines_s:0.1f}")
+    print(f"advantage over per byte: per line "
+          f"x{lock_per_line_lines_s / unbuffered_lines_s:0.1f}, "
+          f"buffered x{buffered_lines_s / unbuffered_lines_s:0.1f}")
     record_bench("ipc", {
         "bench": "line_read", "lines": LINES, "smoke": SMOKE,
         "buffered_lines_s": buffered_lines_s,
-        "unbuffered_lines_s": unbuffered_lines_s})
+        "unbuffered_lines_s": unbuffered_lines_s,
+        "lock_per_line_lines_s": lock_per_line_lines_s})
     assert buffered_lines_s > unbuffered_lines_s, \
         "buffered line reads must beat one-lock-per-byte reads"
+    assert lock_per_line_lines_s > unbuffered_lines_s, \
+        "ring line scans must beat one-lock-per-byte reads"
 
 
 def test_bench_shell_pipe_end_to_end(benchmark, bench_mvm):

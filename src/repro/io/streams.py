@@ -428,6 +428,32 @@ class RingPipe:
         self.zero_copy_bytes += n
         return chunk
 
+    def _find_newline(self, n: int) -> int:
+        """Offset from the head of the first ``\\n`` among the ``n``
+        buffered bytes, or -1; scans both segments at the wrap seam
+        without copying."""
+        i = self._head & self._mask
+        end = i + n
+        if end <= self._size:
+            pos = self._buf.find(0x0A, i, end)
+            return pos - i if pos >= 0 else -1
+        pos = self._buf.find(0x0A, i)
+        if pos >= 0:
+            return pos - i
+        pos = self._buf.find(0x0A, 0, end - self._size)
+        return pos + self._size - i if pos >= 0 else -1
+
+    def _release(self) -> None:
+        """Drop the backing store once the reader side has closed.
+
+        Nothing can read it again, and every writer path checks
+        ``reader_closed`` before touching it; unread bytes are discarded
+        (a closed pipe's EPIPE), so the counters say nothing is buffered.
+        """
+        self._view.release()
+        self._buf = self._view = None
+        self._head = self._tail
+
     def _segments(self, n: int) -> list:
         """Borrowed memoryview segments over ``n`` buffered bytes.
 
@@ -443,6 +469,28 @@ class RingPipe:
     def _notify_edge(self) -> None:
         self.wakeups += 1
         self.cond.notify_all()
+
+    def _await_readable(self) -> None:
+        """Park the reader until data, EOF or a close arrives."""
+        if self._tail == self._head and not (
+                self.writer_closed or self.reader_closed):
+            # Slow path only when there is genuinely nothing to read.
+            wait_until(
+                self.cond,
+                lambda: self._tail != self._head or self.writer_closed
+                or self.reader_closed)
+        if self.reader_closed:
+            # Our own side was closed while we were blocked — the read
+            # can never be satisfied (a closed fd, not EOF).
+            raise StreamClosedException("pipe reader closed")
+
+    def _consumed(self, used: int) -> None:
+        """A read took bytes from a ring that held ``used``: wake a
+        writer only on the full → non-full edge."""
+        if used >= self.capacity:
+            self._notify_edge()
+        else:
+            self.suppressed_wakeups += 1
 
     def _fold_totals(self) -> None:
         """Roll this pipe's counters into :data:`RING_STATS` (called at
@@ -477,27 +525,47 @@ class PipedInputStream(InputStream):
         self._ensure_open()
         pipe = self._pipe
         with pipe.cond:
-            if pipe._tail == pipe._head and not (
-                    pipe.writer_closed or pipe.reader_closed):
-                # Slow path only when there is genuinely nothing to read.
-                wait_until(
-                    pipe.cond,
-                    lambda: pipe._tail != pipe._head or pipe.writer_closed
-                    or pipe.reader_closed)
-            if pipe.reader_closed:
-                # Our own side was closed while we were blocked — the
-                # read can never be satisfied (a closed fd, not EOF).
-                raise StreamClosedException("pipe reader closed")
+            pipe._await_readable()
             used = pipe._tail - pipe._head
             if not used and pipe.writer_closed:
                 return b""
             n = used if (size is None or size < 0) else min(size, used)
             chunk = pipe._take(n)
-            if used >= pipe.capacity and n:
-                pipe._notify_edge()  # full → non-full: a writer may wait
-            elif n:
-                pipe.suppressed_wakeups += 1
+            if n:
+                pipe._consumed(used)
             return chunk
+
+    def read_line(self) -> Optional[bytes]:
+        """One ``\\n``-terminated line (terminator stripped) in one lock
+        session per ring fill, instead of one per byte.
+
+        Never consumes a byte past the newline: stdin is shared (§5.1),
+        so whatever follows belongs to the next reader of the stream.
+        Bytes without a newline are taken as the line's prefix, leaving
+        the ring empty; the writer signals only the empty→non-empty
+        edge, and a full ring drained this way lets a line longer than
+        ``capacity`` through.  None at end of stream; a final
+        unterminated line is returned as-is.
+        """
+        self._ensure_open()
+        pipe = self._pipe
+        pieces = []
+        with pipe.cond:
+            while True:
+                pipe._await_readable()
+                used = pipe._tail - pipe._head
+                if not used:
+                    return b"".join(pieces) if pieces else None
+                n = pipe._find_newline(used)
+                if n < 0:
+                    pieces.append(pipe._take(used))
+                    pipe._consumed(used)
+                    continue
+                pieces.append(pipe._take(n))
+                pipe._head += 1  # the terminator, consumed uncopied
+                pipe.zero_copy_bytes += 1
+                pipe._consumed(used)
+                return b"".join(pieces)
 
     def drain_into(self, consumer, max_bytes: int = -1) -> int:
         """``readv``-style zero-copy drain.
@@ -515,14 +583,7 @@ class PipedInputStream(InputStream):
         self._ensure_open()
         pipe = self._pipe
         with pipe.cond:
-            if pipe._tail == pipe._head and not (
-                    pipe.writer_closed or pipe.reader_closed):
-                wait_until(
-                    pipe.cond,
-                    lambda: pipe._tail != pipe._head or pipe.writer_closed
-                    or pipe.reader_closed)
-            if pipe.reader_closed:
-                raise StreamClosedException("pipe reader closed")
+            pipe._await_readable()
             used = pipe._tail - pipe._head
             if not used:
                 return 0
@@ -536,10 +597,8 @@ class PipedInputStream(InputStream):
                     segment.release()
             pipe._head += n
             pipe.zero_copy_bytes += n
-            if used >= pipe.capacity and n:
-                pipe._notify_edge()
-            elif n:
-                pipe.suppressed_wakeups += 1
+            if n:
+                pipe._consumed(used)
             return n
 
     def try_read(self, size: int = -1) -> Optional[bytes]:
@@ -560,10 +619,7 @@ class PipedInputStream(InputStream):
             if not n:
                 return b""
             chunk = pipe._take(n)
-            if used >= pipe.capacity:
-                pipe._notify_edge()  # full → non-full: a writer may wait
-            else:
-                pipe.suppressed_wakeups += 1
+            pipe._consumed(used)
             return chunk
 
     def readable_hint(self) -> bool:
@@ -599,6 +655,7 @@ class PipedInputStream(InputStream):
         with pipe.cond:
             pipe.reader_closed = True
             pipe._fold_totals()
+            pipe._release()
             pipe.cond.notify_all()
 
 
@@ -750,6 +807,9 @@ class _LegacyPipedInputStream(PipedInputStream):
             pipe.cond.notify_all()
             return chunk
 
+    # The ring's line scan reads ring internals this channel lacks.
+    read_line = InputStream.read_line
+
     def drain_into(self, consumer, max_bytes: int = -1) -> int:
         raise NotImplementedError("legacy pipes have no zero-copy drain")
 
@@ -853,13 +913,17 @@ DEFAULT_BUFFER_SIZE = 8192
 
 
 class BufferedInputStream(InputStream):
-    """Bulk-reading wrapper: pipe lock traffic scales with chunks, not bytes.
+    """Bulk-reading wrapper: pipe lock traffic scales with chunks, not lines.
 
     ``read_line`` on a bare :class:`PipedInputStream` costs one pipe
-    condition-variable acquisition *per byte* (``read_byte`` → ``read``).
-    This wrapper pulls ``buffer_size`` bytes per underlying ``read`` and
-    serves ``read`` / ``read_byte`` / ``read_line`` / ``read_exactly``
-    from the in-memory chunk; ``read_line`` scans with ``bytes.find``.
+    condition-variable acquisition *per line* and never reads past the
+    newline (on sources without their own ``read_line``, the generic
+    loop costs one ``read`` per byte).  This wrapper pulls
+    ``buffer_size`` bytes per underlying ``read`` and serves ``read`` /
+    ``read_byte`` / ``read_line`` / ``read_exactly`` from the in-memory
+    chunk; ``read_line`` scans with ``bytes.find``.  It reads ahead, so
+    it is only for streams it consumes alone (dist frames), never for a
+    shared stdin whose next lines belong to another reader.
 
     ``peek_byte`` looks at the next byte without consuming it — the
     dist protocol's wire-format sniff (JSON line vs binary frame) needs

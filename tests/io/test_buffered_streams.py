@@ -1,8 +1,10 @@
 """Buffered stream wrappers: bulk reads, write combining, pipe races.
 
 The transport fast path's first layer — ``BufferedInputStream`` turns
-one-lock-per-byte ``read_line`` loops into one lock per chunk, and
-``BufferedOutputStream`` combines small writes.  The race tests pin down
+line reads into one source read per chunk (the generic ``read_line``
+loop costs a read per byte; a raw pipe's own ``read_line`` one lock per
+line, without the read-ahead), and ``BufferedOutputStream`` combines
+small writes.  The race tests pin down
 the close/EPIPE semantics the connection pool depends on: a peer can
 vanish while the other side is mid-``read_line`` or mid-flush, and the
 wrappers must surface exactly what the raw pipes would.

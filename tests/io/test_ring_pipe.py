@@ -336,3 +336,147 @@ class TestLegacyChannel:
         reader.close()
         with pytest.raises(StreamClosedException):
             writer.write(b"data")
+
+
+class TestLineReads:
+    """``PipedInputStream.read_line``: one lock session per line, and
+    never a byte past the newline (stdin is shared, §5.1)."""
+
+    def test_no_read_ahead_between_line_and_byte_reads(self):
+        reader, writer = make_pipe()
+        writer.write(b"first\nsecond\nthird")
+        writer.close()
+        assert reader.read_line() == b"first"
+        assert reader.read(3) == b"sec"
+        assert reader.read_line() == b"ond"
+        assert reader.read(1) == b"t"
+        assert reader.read_line() == b"hird"
+        assert reader.read_line() is None
+
+    def test_line_longer_than_capacity(self, root):
+        reader, writer = make_pipe(capacity=16)
+        line = bytes(range(65, 91)) * 3 + b"0123456789" * 2 + b"xx"
+        assert len(line) == 100
+
+        def produce():
+            writer.write(line + b"\ntail\n")
+            writer.close()
+
+        producer = JThread(target=produce, group=root)
+        producer.start()
+        assert reader.read_line() == line
+        assert reader.read_line() == b"tail"
+        assert reader.read_line() is None
+        producer.join(5)
+        assert not producer.is_alive()
+
+    def test_newline_exactly_at_the_seam(self):
+        reader, writer = make_pipe(capacity=8)
+        writer.write(b"abcdef")
+        assert reader.read(6) == b"abcdef"
+        # Physical slots 6, 7 then 0: the newline is the last byte
+        # before the seam, the next line straddles it.
+        writer.write(b"g\nhij\n")
+        assert reader.read_line() == b"g"
+        assert reader.read_line() == b"hij"
+
+    def test_line_straddling_the_seam(self):
+        reader, writer = make_pipe(capacity=8)
+        writer.write(b"abcde")
+        assert reader.read(5) == b"abcde"
+        writer.write(b"xyzw\n")  # slots 5, 6, 7 | 0, 1
+        with reader._pipe.cond:
+            segments = reader._pipe._segments(5)
+            assert [len(segment) for segment in segments] == [3, 2]
+            for segment in segments:
+                segment.release()
+        assert reader.read_line() == b"xyzw"
+        assert reader.available() == 0
+
+    def test_unterminated_last_line_then_none(self):
+        reader, writer = make_pipe()
+        writer.write(b"done\nno newline")
+        writer.close()
+        assert reader.read_line() == b"done"
+        assert reader.read_line() == b"no newline"
+        assert reader.read_line() is None
+
+    def test_close_while_parked_raises(self, root):
+        reader, writer = make_pipe()
+        writer.write(b"partial")  # no newline: the reader parks
+        outcome = []
+
+        def consume():
+            try:
+                reader.read_line()
+                outcome.append("line")
+            except StreamClosedException:
+                outcome.append("closed")
+
+        consumer = JThread(target=consume, group=root)
+        consumer.start()
+        time.sleep(0.05)
+        reader.close()
+        consumer.join(5)
+        assert outcome == ["closed"]
+
+    def test_partial_line_wakes_on_the_rest(self, root):
+        """The writer only signals the empty→non-empty edge, so a reader
+        parked mid-line must have emptied the ring first."""
+        reader, writer = make_pipe()
+        lines = []
+
+        def consume():
+            lines.append(reader.read_line())
+
+        consumer = JThread(target=consume, group=root)
+        consumer.start()
+        for piece in (b"one ", b"two "):
+            writer.write(piece)
+            time.sleep(0.05)
+            assert reader.available() == 0  # parked on an empty ring
+        writer.write(b"three\n")
+        consumer.join(5)
+        assert lines == [b"one two three"]
+
+    def test_copies_grow_per_line_not_per_byte(self):
+        reader, writer = make_pipe()
+        pipe = reader._pipe
+        line = b"x" * 99 + b"\n"
+        writer.write(line * 10)
+        after_write = pipe.copies
+        for _ in range(10):
+            assert reader.read_line() == line[:-1]
+        assert pipe.copies - after_write == 10
+
+    def test_legacy_pipe_reads_lines(self):
+        reader, writer = make_pipe(capacity=64, legacy=True)
+        writer.write(b"legacy\nlines\nend")
+        writer.close()
+        assert [reader.read_line() for _ in range(4)] == \
+            [b"legacy", b"lines", b"end", None]
+
+
+class TestReaderCloseRelease:
+    def test_reader_close_releases_the_store(self):
+        reader, writer = make_pipe()
+        pipe = reader._pipe
+        writer.write(b"z" * (64 * 1024))  # grown past the initial store
+        assert pipe._size == pipe._limit
+        reader.close()
+        assert pipe._buf is None and pipe._view is None
+        with pytest.raises(StreamClosedException):
+            writer.write(b"more")
+        with pytest.raises(StreamClosedException):
+            writer.writev([b"more"])
+
+    def test_stats_answer_after_reader_close(self):
+        reader, writer = make_pipe()
+        writer.write(b"line\nunread")
+        assert reader.read_line() == b"line"
+        reader.close()
+        stats = reader._pipe.stats()
+        assert stats["buffered"] == 0
+        assert stats["capacity"] == reader._pipe.capacity
+        assert stats["copies"] >= 2
+        writer.close()  # folding the writer's side still works

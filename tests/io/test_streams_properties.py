@@ -71,3 +71,32 @@ def test_byte_array_output_accumulates(writes):
         sink.write(chunk)
     assert sink.to_bytes() == b"".join(writes)
     assert sink.size() == sum(len(c) for c in writes)
+
+
+@given(lines=st.lists(st.binary(max_size=40).map(
+    lambda raw: raw.replace(b"\n", b"")), max_size=20),
+    chunk_size=st.integers(min_value=1, max_value=24),
+    capacity=st.integers(min_value=1, max_value=16))
+@settings(max_examples=50, deadline=None)
+def test_pipe_read_line_recovers_chunked_lines(lines, chunk_size, capacity):
+    """Lines written in arbitrary chunks through a small ring (often
+    shorter than a line) come back whole from ``read_line``."""
+    root = ThreadGroup(None, "system")
+    reader, writer = make_pipe(capacity=capacity)
+    payload = b"".join(line + b"\n" for line in lines)
+
+    def producer():
+        for offset in range(0, len(payload), chunk_size):
+            writer.write(payload[offset:offset + chunk_size])
+        writer.close()
+
+    thread = JThread(target=producer, group=root)
+    thread.start()
+    recovered = []
+    while True:
+        line = reader.read_line()
+        if line is None:
+            break
+        recovered.append(line)
+    thread.join(10)
+    assert recovered == lines

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.io.file import read_text, write_text
+from repro.io.streams import make_pipe
 
 
 def run_shell(mvm, lines, capture, user=None, cwd=None, timeout=10.0):
@@ -188,6 +189,19 @@ class TestStreamResponsibility:
         # forever and wait_for above would time out; reaching here with
         # output proves the close responsibility was honoured.
         assert out.text.strip() == "1 1 5"
+
+    def test_shell_and_child_share_piped_stdin(self, host, capture):
+        """Section 5.1: the shell reads one command line from its stdin,
+        the child it runs reads the next line from the same stream, and
+        the shell resumes after it — so no line read may read ahead."""
+        reader, writer = make_pipe()
+        writer.write(b"head -n 1\nline-for-head\necho after\n")
+        writer.close()
+        out = capture()
+        app = host.exec("tools.Shell", [], stdin=reader,
+                        stdout=out.stream, stderr=out.stream)
+        assert app.wait_for(10) == 0
+        assert out.text == "line-for-head\nafter\n"
 
 
 class TestConditionalExecution:
