@@ -41,37 +41,23 @@ LINE = b"pipeline payload, about a hundred bytes of typical line-oriented "\
 BLOB_LINES = (BENCH_N * 40) if BENCH_N else 20000
 
 
-def _chunk_transfer(legacy: bool) -> float:
-    """One 8 KiB-chunk transfer; returns MB/s.
+def _chunk_transfer() -> float:
+    """One 8 KiB-chunk transfer through the ring pipe; returns MB/s.
 
-    The ring side is the PR's data plane as shipped: default capacity
-    and the zero-copy ``drain_into`` read path.  The legacy side is the
-    exact pre-ring configuration — 64 KiB bytearray channel, 64 KiB
-    copying reads — kept behind ``make_pipe(legacy=True)`` for this
-    comparison.
+    Default capacity and the zero-copy ``drain_into`` read path.
     """
     root = ThreadGroup(None, "system")
-    if legacy:
-        reader, writer = make_pipe(capacity=64 * 1024, legacy=True)
-    else:
-        reader, writer = make_pipe()
+    reader, writer = make_pipe()
     received = []
 
     def consume():
         total = 0
-        if legacy:
-            while True:
-                chunk = reader.read(64 * 1024)
-                if not chunk:
-                    break
-                total += len(chunk)
-        else:
-            sink = lambda segments: None  # noqa: E731 - borrow-and-drop
-            while True:
-                drained = reader.drain_into(sink)
-                if not drained:
-                    break
-                total += drained
+        sink = lambda segments: None  # noqa: E731 - borrow-and-drop
+        while True:
+            drained = reader.drain_into(sink)
+            if not drained:
+                break
+            total += drained
         received.append(total)
 
     consumer = JThread(target=consume, group=root)
@@ -87,33 +73,23 @@ def _chunk_transfer(legacy: bool) -> float:
 
 
 def test_bench_in_vm_pipe_throughput(benchmark):
-    benchmark.pedantic(lambda: _chunk_transfer(legacy=False),
-                       rounds=7, iterations=1, warmup_rounds=2)
+    benchmark.pedantic(_chunk_transfer, rounds=7, iterations=1,
+                       warmup_rounds=2)
     transferred_mb = len(PAYLOAD) * CHUNKS / (1024 * 1024)
     measured_mb_s = transferred_mb / benchmark.stats.stats.min
 
-    # The pre-PR pipe at its default capacity, measured inline best-of.
-    legacy_mb_s = max(_chunk_transfer(legacy=True) for _ in range(7))
-    speedup = measured_mb_s / legacy_mb_s
-
     model = ProcessCostModel()
-    print(banner("C2b: IPC bandwidth — ring pipe vs legacy vs OS pipe"))
+    print(banner("C2b: IPC bandwidth — ring pipe vs OS pipe"))
     print(f"ring pipe (drain_into):       {measured_mb_s:10.1f} MB/s")
-    print(f"legacy pipe (pre-PR config):  {legacy_mb_s:10.1f} MB/s")
-    print(f"ring over legacy: x{speedup:0.1f}")
     print(f"cross-process pipe (model):   "
           f"{model.process_pipe_mb_s:10.1f} MB/s")
     print(f"advantage: x{model.ipc_speedup(measured_mb_s):0.1f}")
     record_bench("ipc", {
         "bench": "chunk_throughput", "chunks": CHUNKS,
         "chunk_bytes": len(PAYLOAD), "smoke": SMOKE,
-        "ring_mb_s": measured_mb_s, "legacy_mb_s": legacy_mb_s,
-        "speedup": speedup})
+        "ring_mb_s": measured_mb_s})
     assert measured_mb_s > model.process_pipe_mb_s, \
         "paper claim: in-address-space IPC must beat OS pipes"
-    if not SMOKE:  # tiny smoke transfers are all constant overhead
-        assert speedup >= 2.0, (
-            f"ring data plane regressed vs legacy pipe: x{speedup:0.2f}")
 
 
 def test_bench_line_read_buffered_vs_unbuffered(benchmark):
@@ -127,7 +103,7 @@ def test_bench_line_read_buffered_vs_unbuffered(benchmark):
     * lock per line: ``PipedInputStream.read_line``, one lock session
       per line and no read-ahead (the shell's shared stdin);
     * buffered: ``BufferedInputStream``, lock traffic scales with 8 KB
-      chunks.  The dist protocol reads every JSON-lines frame this way.
+      chunks.  The dist protocol reads every frame through it.
     """
     root = ThreadGroup(None, "system")
 

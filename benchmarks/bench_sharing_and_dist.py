@@ -17,8 +17,9 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 from _common import banner, record_bench, register_main  # noqa: E402
 
+from repro.core.execspec import ExecSpec, Placement, launch  # noqa: E402
 from repro.core.launcher import MultiProcVM  # noqa: E402
-from repro.dist.client import remote_exec  # noqa: E402
+from repro.dist.pool import pool_for  # noqa: E402
 from repro.dist.protocol import FrameChannel  # noqa: E402
 from repro.io.streams import make_pipe  # noqa: E402
 from repro.jvm.threads import JThread, ThreadGroup  # noqa: E402
@@ -33,6 +34,15 @@ PAYLOAD = "x" * 1024
 STDOUT_LINES = (BENCH_N * 4) if BENCH_N else 2000
 FRAMES = (BENCH_N * 8) if BENCH_N else 4000
 FRAME_DATA = b"f" * 100
+REMOTE_HOST = "bench-b.example.com"
+
+
+def remote_launch(ctx, class_name, args=()):
+    """Launch ``class_name`` on JVM B as alice."""
+    return launch(ExecSpec(class_name, tuple(args), user="alice",
+                           password="wonderland",
+                           placement=Placement.remote(REMOTE_HOST)),
+                  ctx=ctx)
 
 
 def boot_pair():
@@ -42,13 +52,13 @@ def boot_pair():
         os_context=standard_process(hostname="bench-a.example.com"),
         network=fabric)
     mvm_b = MultiProcVM.boot(
-        os_context=standard_process(hostname="bench-b.example.com"),
+        os_context=standard_process(hostname=REMOTE_HOST),
         network=fabric)
     with mvm_b.host_session():
         mvm_b.exec("dist.RexecDaemon", ["7100"])
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
-        if fabric.resolve("bench-b.example.com")._listener(7100):
+        if fabric.resolve(REMOTE_HOST)._listener(7100):
             break
         time.sleep(0.01)
     return mvm_a, mvm_b
@@ -100,9 +110,7 @@ def test_bench_remote_vs_local_exec(benchmark):
             ctx = mvm_a.initial.context()
 
             def remote_round_trip():
-                remote = remote_exec(ctx, "bench-b.example.com",
-                                     "bench.RemoteNoop", [],
-                                     user="alice", password="wonderland")
+                remote = remote_launch(ctx, "bench.RemoteNoop")
                 assert remote.wait_for(10) == 0
                 remote.close()
 
@@ -129,17 +137,15 @@ def test_bench_remote_vs_local_exec(benchmark):
     assert remote_ms > local_ms, "remote exec cannot be cheaper than local"
 
 
-def _frame_burst(vectored: bool) -> float:
-    """Ship FRAMES binary data frames through a pipe; returns frames/s.
+def _frame_burst() -> float:
+    """Ship FRAMES data frames through a pipe; returns frames/s.
 
     A consumer thread drains the pipe with the zero-copy path so the
-    writer's send cost is what dominates — the vectored series batches
-    the whole burst through ``send_many`` in slices of 64 (a realistic
-    coalescer flush), the sequential series pays one ``send`` per frame.
+    writer's cost — one ``send`` per frame — is what dominates.
     """
     root = ThreadGroup(None, "system")
     reader, writer = make_pipe()
-    channel = FrameChannel(output_stream=writer, binary=True)
+    channel = FrameChannel(output_stream=writer)
     done = []
 
     def consume():
@@ -155,15 +161,9 @@ def _frame_burst(vectored: bool) -> float:
     consumer.start()
     frame = {"t": "o", "d": FRAME_DATA}
     start = time.perf_counter()
-    if vectored:
-        for base in range(0, FRAMES, 64):
-            channel.send_many(
-                [frame] * min(64, FRAMES - base), flush=False)
-        channel.flush()
-    else:
-        for _ in range(FRAMES):
-            channel.send(frame, flush=False)
-        channel.flush()
+    for _ in range(FRAMES):
+        channel.send(frame, flush=False)
+    channel.flush()
     elapsed = time.perf_counter() - start
     channel.close()  # EOF for the consumer; reader closes after it exits
     consumer.join(30)
@@ -172,28 +172,17 @@ def _frame_burst(vectored: bool) -> float:
     return FRAMES / elapsed
 
 
-def test_bench_vectored_frame_send(benchmark):
-    """§8e: ``send_many`` gather-writes vs per-frame ``send``."""
-    benchmark.pedantic(lambda: _frame_burst(vectored=True),
-                       rounds=7, iterations=1, warmup_rounds=2)
-    vectored_frames_s = FRAMES / benchmark.stats.stats.min
-    sequential_frames_s = max(
-        _frame_burst(vectored=False) for _ in range(7))
-    advantage = vectored_frames_s / sequential_frames_s
-    print(banner("§8e: frame burst — vectored vs sequential send"))
-    print(f"sequential send():            {sequential_frames_s:10.0f} "
+def test_bench_frame_send(benchmark):
+    """§8e: a burst of data frames, one ``send`` per frame."""
+    benchmark.pedantic(_frame_burst, rounds=7, iterations=1,
+                       warmup_rounds=2)
+    sequential_frames_s = FRAMES / benchmark.stats.stats.min
+    print(banner("§8e: frame burst — per-frame send"))
+    print(f"send():                       {sequential_frames_s:10.0f} "
           f"frames/s")
-    print(f"vectored send_many():         {vectored_frames_s:10.0f} "
-          f"frames/s")
-    print(f"advantage: x{advantage:0.2f}")
     record_bench("transport", {
-        "bench": "vectored_send", "frames": FRAMES, "smoke": SMOKE,
-        "vectored_frames_s": vectored_frames_s,
-        "sequential_frames_s": sequential_frames_s,
-        "advantage": advantage})
-    if not SMOKE:
-        assert advantage >= 0.9, (
-            f"vectored frame send slower than sequential: x{advantage:0.2f}")
+        "bench": "frame_send", "frames": FRAMES, "smoke": SMOKE,
+        "sequential_frames_s": sequential_frames_s})
 
 
 def _register_spammer(mvm):
@@ -208,45 +197,34 @@ def _register_spammer(mvm):
 
 
 def test_bench_remote_stdout_throughput(benchmark):
-    """§8c: streaming remote stdout — binary framing vs JSON lines.
+    """§8c: streaming remote stdout over a pooled connection.
 
     The frame-heavy series: one ~100-byte line per frame, buffered frame
-    I/O and write coalescing on both paths; the protocol-2 run adds raw
-    binary framing and a pooled connection.
+    I/O, write coalescing and raw data frames.
     """
     mvm_a, mvm_b = boot_pair()
     try:
         class_name = _register_spammer(mvm_b)
 
-        def stream(proto):
-            def run():
-                remote = remote_exec(
-                    mvm_a.initial.context(), "bench-b.example.com",
-                    class_name, [str(STDOUT_LINES)],
-                    user="alice", password="wonderland", proto=proto)
-                assert remote.wait_for(60) == 0
-                assert len(remote.output_bytes()) == STDOUT_LINES * 101
-                remote.close()
-            return run
+        def stream():
+            remote = remote_launch(mvm_a.initial.context(), class_name,
+                                   [str(STDOUT_LINES)])
+            assert remote.wait_for(60) == 0
+            assert len(remote.output_bytes()) == STDOUT_LINES * 101
+            remote.close()
 
         with mvm_a.host_session():
-            benchmark.pedantic(stream(proto=2), rounds=5, iterations=1,
+            benchmark.pedantic(stream, rounds=5, iterations=1,
                                warmup_rounds=1)
             binary_lines_s = STDOUT_LINES / benchmark.stats.stats.mean
-
-            start = time.perf_counter()
-            stream(proto=1)()
-            json_lines_s = STDOUT_LINES / (time.perf_counter() - start)
     finally:
         mvm_a.shutdown()
         mvm_b.shutdown()
-    print(banner("§8c: remote stdout streaming — binary vs JSON frames"))
-    print(f"JSON lines (protocol 1):      {json_lines_s:10.0f} lines/s")
-    print(f"binary frames (protocol 2):   {binary_lines_s:10.0f} lines/s")
-    print(f"advantage: x{binary_lines_s / json_lines_s:0.1f}")
+    print(banner("§8c: remote stdout streaming"))
+    print(f"data frames:                  {binary_lines_s:10.0f} lines/s")
     record_bench("transport", {
         "bench": "remote_stdout", "lines": STDOUT_LINES, "smoke": SMOKE,
-        "binary_lines_s": binary_lines_s, "json_lines_s": json_lines_s})
+        "binary_lines_s": binary_lines_s})
 
 
 def test_bench_pooled_vs_fresh_connection_exec(benchmark):
@@ -254,24 +232,24 @@ def test_bench_pooled_vs_fresh_connection_exec(benchmark):
     mvm_a, mvm_b = boot_pair()
     try:
         register_main(mvm_b.vm, "PoolNoop", lambda j, c, a: 0)
+        pool = pool_for(mvm_a.vm)
 
-        def exec_once(pooled):
-            remote = remote_exec(
-                mvm_a.initial.context(), "bench-b.example.com",
-                "bench.PoolNoop", [], user="alice",
-                password="wonderland", pooled=pooled)
+        def exec_once():
+            remote = remote_launch(mvm_a.initial.context(), "bench.PoolNoop")
             assert remote.wait_for(10) == 0
             remote.close()
 
         with mvm_a.host_session():
-            benchmark.pedantic(lambda: exec_once(pooled=True),
-                               rounds=15, iterations=1, warmup_rounds=2)
+            benchmark.pedantic(exec_once, rounds=15, iterations=1,
+                               warmup_rounds=2)
             pooled_ms = benchmark.stats.stats.mean * 1000
 
             loops = 15
             start = time.perf_counter()
             for _ in range(loops):
-                exec_once(pooled=False)
+                # Drop the parked connection so this exec dials afresh.
+                pool.invalidate(REMOTE_HOST, 7100)
+                exec_once()
             fresh_ms = (time.perf_counter() - start) / loops * 1000
     finally:
         mvm_a.shutdown()

@@ -19,8 +19,8 @@ Run with::
 
 import time
 
-from repro import MultiProcVM
-from repro.dist.client import DistributedApplication, remote_exec
+from repro import ExecSpec, MultiProcVM, Placement, launch
+from repro.dist.client import DistributedApplication
 from repro.io.streams import ByteArrayOutputStream, PrintStream
 from repro.net.fabric import NetworkFabric
 from repro.unixfs.machine import standard_process
@@ -62,9 +62,11 @@ def main() -> None:
         ctx = mvm_a.initial.context()
         distributed = DistributedApplication(
             local=mvm_a.exec("tools.Sleep", ["30"]))
-        distributed.add_remote(remote_exec(
-            ctx, HOST_B, "tools.Sleep", ["30"],
-            user="alice", password="wonderland"))
+        distributed.add_remote(launch(
+            ExecSpec("tools.Sleep", ("30",), user="alice",
+                     password="wonderland",
+                     placement=Placement.remote(HOST_B)),
+            ctx=ctx))
         print("distributed application running:",
               f"local part {distributed.local.name} on {HOST_A},",
               f"remote part on {HOST_B}")

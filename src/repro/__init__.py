@@ -27,8 +27,8 @@ Every launch — local, cluster-scheduled, or remote — goes through one
 door: build an :class:`ExecSpec` (optionally with a non-local
 :class:`Placement`) and hand it to :func:`launch` (or the convenience
 wrappers ``mvm.launch`` / ``ctx.launch``).  ``Application.exec``,
-``MultiProcVM.exec``, ``Cluster.exec`` and ``remote_exec`` remain as
-deprecated shims over the same path.
+``MultiProcVM.exec`` and ``Cluster.exec`` remain as deprecated shims over
+the same path.
 
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-claim-vs-measured record.
@@ -51,11 +51,7 @@ from repro.core.context import (
 from repro.cluster import Cluster, ClusterApplication, PlacementError
 from repro.core.launcher import DEFAULT_POLICY, MultiProcVM
 from repro.core.sharing import SharedObjectSpace
-from repro.dist.client import (
-    DistributedApplication,
-    RemoteApplication,
-    remote_exec,
-)
+from repro.dist.client import DistributedApplication, RemoteApplication
 from repro.core.reload import RELOADABLE_CLASSES, ApplicationClassLoader
 from repro.jvm.classloading import (
     ClassLoader,
@@ -131,7 +127,7 @@ __all__ = [
     "Application", "ApplicationRegistry", "ApplicationClassLoader",
     "ExecSpec", "Placement", "launch", "ExitStatus",
     "ResourceLimits", "ResourceLimitExceeded", "SharedObjectSpace",
-    "DistributedApplication", "RemoteApplication", "remote_exec",
+    "DistributedApplication", "RemoteApplication",
     "Cluster", "ClusterApplication", "PlacementError",
     "Supervisor", "ServiceSpec", "BackoffPolicy", "HealthProbe",
     "AdmissionController", "AdmissionPolicy", "AdmissionRejected",

@@ -13,7 +13,8 @@ JVMs into a *pool* with observable membership:
   injectable so membership tests are deterministic.
 * ``cluster.ClusterAgent`` — an ordinary application run on every worker
   VM.  It connects to the registry over :mod:`repro.net.fabric`, sends a
-  registration frame, then heartbeats carrying live load gauges from the
+  ``reg`` frame, then ``hb`` heartbeats (both JSON frames of
+  :mod:`repro.dist.protocol`) carrying live load gauges from the
   worker's own :class:`~repro.telemetry.TelemetryHub` (``apps.live`` and
   AWT queue depth) plus the class material its host publishes (feeding
   the locality placement policy).
@@ -387,9 +388,7 @@ def build_server_material() -> ClassMaterial:
 
         def serve(socket) -> None:
             # A FrameChannel per agent connection: bulk buffered reads
-            # (one pipe lock per chunk of heartbeats, not per byte) and
-            # per-frame sniffing, so binary-framing agents would be
-            # understood too.
+            # (one pipe lock per chunk of heartbeats, not per byte).
             channel = FrameChannel(socket.input, socket.output)
             try:
                 while True:

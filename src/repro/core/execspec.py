@@ -13,7 +13,8 @@ argv), the Section 5.1 state overrides (user, streams, cwd, properties,
 limits — everything a child may refuse to inherit), and *where* to run
 it (a :class:`Placement` hint).  :func:`launch` is the one verb — it
 routes a spec to the local exec path, the cluster scheduler, or the dist
-client, and every legacy signature now just builds a spec and calls it.
+client, and the three remaining legacy signatures just build a spec and
+call it.
 
 The placement kinds:
 
@@ -163,7 +164,7 @@ def spec_fields() -> tuple:
 def launch(spec: ExecSpec, *, vm=None, parent=None, ctx=None):
     """Launch ``spec`` wherever its placement points.
 
-    The one entry point the four legacy signatures now route through.
+    The one entry point the legacy exec signatures route through.
     ``vm``/``parent`` pin the launching context for local placements
     (defaulting to the caller's current application, as
     ``Application.exec`` always did); ``ctx`` is the invocation context

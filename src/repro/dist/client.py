@@ -1,7 +1,8 @@
 """Client side of distributed applications (Section 8, future work).
 
-:func:`remote_exec` launches a class on *another JVM* (over the simulated
-network) and returns a :class:`RemoteApplication` that behaves like a local
+``launch(ExecSpec(..., placement=Placement.remote(host, port)))`` starts a
+class on *another JVM* (over the simulated network) and returns a
+:class:`RemoteApplication` that behaves like a local
 :class:`~repro.core.application.Application` handle: ``wait_for``,
 ``destroy``, captured output, an exit code.
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from typing import Optional
 
 from repro.dist import protocol
@@ -29,27 +29,19 @@ from repro.jvm.errors import (
 )
 from repro.jvm.threads import JThread
 from repro.sched.timers import wait_until
-from repro.net.sockets import Socket
 from repro.super.admission import AdmissionRejected
 
 
 class RemoteApplication:
     """A handle on an application running in another JVM.
 
-    Speaks protocol 2 by default: the request is still a JSON line (so
-    old daemons parse it) carrying ``"proto": 2``; replies are sniffed
-    per frame, so a binary-framing daemon and a JSON-lines daemon are
-    both handled transparently.  Connections come from the VM's
-    ``(host, port)``-keyed channel pool and return to it after a clean
-    exit against a protocol-2 peer; ``proto=1`` or ``pooled=False``
-    reproduce the original one-connection-per-exec behaviour.
+    The connection comes from the VM's ``(host, port)``-keyed channel
+    pool and returns to it after the exit (or ``err``) frame.
     """
 
     def __init__(self, ctx, host: str, port: int, user: str, password: str,
                  class_name: str, args: Optional[list[str]] = None,
-                 stdout=None, stderr=None,
-                 proto: int = protocol.PROTOCOL_VERSION,
-                 pooled: bool = True, limits=None,
+                 stdout=None, stderr=None, limits=None,
                  record: bool = False, phase: Optional[str] = None):
         self.host = host
         self.port = port
@@ -70,21 +62,18 @@ class RemoteApplication:
         #: cluster failover trigger.
         self.transport_lost = False
         self._output_chunks: list[bytes] = []
-        self._proto = proto
-        self._pool = pool_for(ctx.vm) if pooled else None
+        self._pool = pool_for(ctx.vm)
         self._released = False
         self._closed = False
         request = {"user": user, "password": password,
                    "class_name": class_name, "args": list(args or [])}
-        if proto >= 2:
-            request["proto"] = proto
         # ResourceLimits travel with the request (and are enforced by
-        # the target VM); old daemons ignore the extra key.
+        # the target VM).
         wire_limits = protocol.limits_to_wire(limits)
         if wire_limits is not None:
             request["limits"] = wire_limits
         # Policy learning mode and a launch-phase override travel the
-        # same way as limits: optional keys old daemons ignore.
+        # same way as limits: optional keys.
         if record:
             request["record"] = True
         if phase is not None:
@@ -106,19 +95,12 @@ class RemoteApplication:
         self._reader.start()
 
     def _open_and_send(self, ctx, request: dict) -> PooledChannel:
-        """Connect (pooled or fresh) and ship the request frame.
+        """Acquire a pooled channel and ship the request frame.
 
         A pooled channel whose daemon hung up since it was parked raises
         on the send — that one retries once on a guaranteed-fresh
         connection, preserving fresh-connect failure semantics.
         """
-        if self._pool is None:
-            socket = Socket(ctx, self.host, self.port)
-            channel = protocol.FrameChannel(socket.input, socket.output)
-            conn = PooledChannel(None, self.host, self.port, socket,
-                                 channel, reused=False)
-            channel.send(request)
-            return conn
         conn = self._pool.acquire(ctx, self.host, self.port)
         try:
             conn.channel.send(request)
@@ -154,8 +136,7 @@ class RemoteApplication:
             self._finish(None, str(exc), transport=True)
 
     def _on_output(self, data, sink) -> None:
-        # Binary frames carry raw bytes; JSON frames carry text (or bytes
-        # already, when the base64 escape was decoded for us).
+        # Data frames carry raw bytes; a JSON-tagged data frame carries text.
         chunk = data.encode("utf-8") if isinstance(data, str) else bytes(data)
         with self._cond:
             self._output_chunks.append(chunk)
@@ -176,34 +157,18 @@ class RemoteApplication:
         if transport:
             # The node (not the request) failed: drop every idle pooled
             # channel to it so retries never dial the corpse again.
-            if self._pool is not None:
-                self._pool.invalidate(self.host, self.port)
+            self._pool.invalidate(self.host, self.port)
             self.close()
         else:
             self._park_connection()
 
     def _park_connection(self) -> None:
-        """After a clean exit, return a persistent connection to the pool.
-
-        Only protocol-2 peers keep the connection open after the exit
-        frame (seen as binary reply frames); a JSON-lines daemon is
-        about to hang up, so its connection is not reusable.
-        """
+        """After a clean exit, return the connection to the pool."""
         with self._cond:
             if self._released or self._closed:
                 return
-            if self._pool is not None and self._channel.peer_binary:
-                self._released = True
-                park = True
-            else:
-                # A JSON-lines peer is hanging up (or pooling is off):
-                # the connection is not reusable, so close it now.
-                self._closed = True
-                park = False
-        if park:
-            self._conn.release()
-        else:
-            self._conn.close()
+            self._released = True
+        self._conn.release()
 
     # -- the Application-like surface ------------------------------------------
 
@@ -250,8 +215,6 @@ class RemoteApplication:
             if self._released or self._closed:
                 return  # already finished; the channel belongs to the pool
         try:
-            # Control frames are always JSON lines: old daemons cannot
-            # parse anything else, and new daemons sniff per frame.
             self._channel.send({"t": "kill"})
         except IOException:
             pass
@@ -260,11 +223,6 @@ class RemoteApplication:
     def terminated(self) -> bool:
         with self._cond:
             return self._finished
-
-    @property
-    def transport_binary(self) -> bool:
-        """True once the peer has answered in binary frames (protocol 2)."""
-        return self._channel.peer_binary
 
     def output_bytes(self) -> bytes:
         """Everything the remote application wrote, byte-exact."""
@@ -285,29 +243,6 @@ class RemoteApplication:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"RemoteApplication({self.class_name!r}@{self.host!r}, "
                 f"code={self.exit_code})")
-
-
-def remote_exec(ctx, host: str, class_name: str,
-                args: Optional[list[str]] = None,
-                user: str = "", password: str = "",
-                port: int = 7100, stdout=None, stderr=None,
-                proto: int = protocol.PROTOCOL_VERSION,
-                pooled: bool = True, limits=None) -> RemoteApplication:
-    """Deprecated shim: launch ``class_name`` on the JVM at ``host:port``.
-
-    Prefer ``launch(ExecSpec(class_name, args,
-    placement=Placement.remote(host, port), ...))``.  ``proto=1`` forces
-    the legacy JSON-lines handshake; ``pooled=False`` opens (and owns) a
-    dedicated connection — both mainly for tests and the transport
-    benchmarks.
-    """
-    warnings.warn(
-        "remote_exec() is deprecated; use repro.launch(ExecSpec(..., "
-        "placement=Placement.remote(host, port)))",
-        DeprecationWarning, stacklevel=2)
-    return RemoteApplication(ctx, host, port, user, password, class_name,
-                             args, stdout=stdout, stderr=stderr,
-                             proto=proto, pooled=pooled, limits=limits)
 
 
 class DistributedApplication:

@@ -14,7 +14,9 @@ on a port of its VM's host.  For each connection it:
 3. streams the child's stdout/stderr back as frames and reports the exit
    code;
 4. honours ``kill`` control frames from the requesting side, so destroying
-   the distributed application reaches its remote threads.
+   the distributed application reaches its remote threads;
+5. keeps the connection open after the exit frame and serves the next
+   request on it (the client pools connections per ``host:port``).
 
 Privileges: the daemon's code source is granted ``listen``/``accept`` on
 its rexec port range plus ``setUser`` (it launches work as other users) —
@@ -49,12 +51,12 @@ CODE_SOURCE = CodeSource("file:/usr/local/java/tools/rexecd/RexecDaemon.class")
 DEFAULT_PORT = 7100
 
 
-def _serve_request(ctx, channel, request, on_done=None):
+def _serve_request(ctx, channel, request):
     """Authenticate and launch one request.
 
     Returns ``(child, waiter)`` — the waiter thread streams the exit
-    frame when the child ends, then runs ``on_done`` — or
-    ``(None, None)`` when an ``err`` frame was sent instead.
+    frame when the child ends — or ``(None, None)`` when an ``err``
+    frame was sent instead.
     """
     try:
         user = ctx.vm.user_database.authenticate(
@@ -108,8 +110,6 @@ def _serve_request(ctx, channel, request, on_done=None):
                           "code": code if code is not None else -1})
         except IOException:
             pass  # requester hung up; nothing left to report to
-        if on_done is not None:
-            on_done()
 
     waiter = JThread(target=wait_and_report,
                      name=f"rexec-wait-{child.app_id}", daemon=True)
@@ -118,19 +118,18 @@ def _serve_request(ctx, channel, request, on_done=None):
 
 
 def _handle_connection(ctx, socket) -> None:
-    """Serve one connection: one request (protocol 1) or many (protocol 2).
+    """Serve one connection: a request, its kill frames, the next request.
 
     A single reader loop handles everything the requester sends — the
-    request frame, ``kill`` control frames while a child runs, and (for
-    protocol-2 peers, which see binary replies and pool the connection)
-    the *next* request after an exit frame.  Requests are always JSON
-    lines; ``"proto": 2`` in a request switches replies to binary
-    framing and keeps the connection open after the exit frame.
+    request frame, ``kill`` control frames while a child runs, and the
+    *next* request after an exit frame (the client pools the
+    connection).  Bytes that do not parse as a frame (a JSON line, say)
+    end the connection, so such a request is never authenticated or
+    launched.
     """
     channel = protocol.FrameChannel(socket.input, socket.output)
     child = None
     waiter = None
-    persistent = False
     try:
         while True:
             try:
@@ -145,22 +144,12 @@ def _handle_connection(ctx, socket) -> None:
                     child.destroy()
                 continue
             if kind is not None:
-                continue  # unknown control frame: ignore, stay compatible
+                continue  # unknown control frame: ignore
             # A request frame.  The client only sends one after seeing the
             # previous exit frame, so a live waiter just needs joining.
             if waiter is not None:
                 waiter.join()
-                child = waiter = None
-            persistent = int(frame.get("proto", 1)) >= 2
-            channel.binary = persistent
-            # Legacy peers get one request per connection: the waiter
-            # hangs up right after the exit frame (the old daemon's
-            # lifecycle), while this loop keeps draining kill frames.
-            child, waiter = _serve_request(
-                ctx, channel, frame,
-                on_done=None if persistent else socket.close)
-            if not persistent and child is None:
-                break  # err frame sent; close as before
+            child, waiter = _serve_request(ctx, channel, frame)
     finally:
         if waiter is not None:
             waiter.join()

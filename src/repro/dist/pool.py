@@ -1,7 +1,7 @@
 """Keyed connection pool for the dist/cluster fabric.
 
-Protocol 2 daemons keep a connection open after the exit frame, so the
-next ``remote_exec`` / ``Cluster.exec`` / heartbeat to the same
+The rexec daemon keeps a connection open after the exit frame, so the
+next remote launch / ``Cluster.exec`` / heartbeat to the same
 ``host:port`` can skip connection establishment entirely.  The pool is
 per-VM (``vm.dist_pool``) and keyed by ``(host, port)``.
 
@@ -14,9 +14,7 @@ Security and ownership semantics are deliberately unchanged:
 * Pooled channels are VM infrastructure, not application streams: they
   carry no owner and are not registered against the acquiring
   application's stream table, so an application exiting does not tear
-  down connections the pool may hand to someone else.  (The non-pooled
-  path in :mod:`repro.dist.client` keeps the old per-application
-  ownership.)
+  down connections the pool may hand to someone else.
 
 Invalidation is the failure-semantics glue: a ``transport_lost`` on any
 channel to a node, or the cluster registry declaring the node dead,
@@ -41,7 +39,7 @@ MAX_IDLE_PER_KEY = 4
 class PooledChannel:
     """One connection checked out of (or destined for) the pool."""
 
-    def __init__(self, pool: Optional["ChannelPool"], host: str, port: int,
+    def __init__(self, pool: "ChannelPool", host: str, port: int,
                  endpoint, channel: FrameChannel, reused: bool):
         self._pool = pool
         self.host = host
@@ -54,10 +52,7 @@ class PooledChannel:
 
     def release(self) -> None:
         """Return the connection for reuse (or close it, pool's choice)."""
-        if self._pool is not None:
-            self._pool.release(self)
-        else:
-            self.close()
+        self._pool.release(self)
 
     def close(self) -> None:
         self.channel.close()

@@ -1,49 +1,36 @@
 """Wire protocol for distributed applications (Section 8, future work).
 
-Two frame encodings share one connection:
+Every frame, in both directions, is ``tag | length | payload``: one tag
+byte, a 4-byte big-endian length, then the payload.
 
-* **JSON lines** (protocol 1, the original): one JSON object per
-  ``\\n``-terminated line.  The client's first frame is the *request*
+* ``TAG_STDOUT`` / ``TAG_STDERR`` frames carry the remote application's
+  output as *raw bytes* (no UTF-8 round trip, so non-UTF-8 program output
+  survives).  They are received as ``{"t": "o"|"e", "d": bytes}``.
+* ``TAG_JSON`` frames carry one JSON object.  The client's request is
   ``{"user": ..., "password": ..., "class_name": ..., "args": [...]}``;
-  subsequent client frames are control messages (``{"t": "kill"}``);
-  server frames stream the remote application's life:
-  ``{"t": "o", "d": text}`` (stdout data), ``{"t": "e", "d": text}``
-  (stderr data), ``{"t": "x", "code": n}`` (exit), or
-  ``{"t": "err", "msg": ...}`` (launch/authentication failure).
-* **Binary framing** (protocol 2, the fast path): length-prefixed frames
-  — one tag byte, a 4-byte big-endian length, then the payload.  Stdout
-  and stderr data travel as *raw bytes* (no UTF-8 round trip, so
-  non-UTF-8 program output survives); everything else is a JSON object
-  in a ``TAG_JSON`` frame.
+  control messages are ``{"t": "kill"}``; the daemon reports
+  ``{"t": "x", "code": n}`` (exit) or ``{"t": "err", "msg": ...}``
+  (launch/authentication failure); cluster agents send ``reg`` and
+  ``hb`` frames to the registry the same way.
 
-The encodings interoperate: requests are always JSON lines (old daemons
-must be able to parse them) and carry ``"proto": 2`` when the client
-speaks binary; a daemon that understands it answers in binary frames and
-keeps the connection open for reuse, while an old daemon ignores the
-extra key and answers in JSON lines.  Receivers never need to be told
-which encoding is coming — no frame tag collides with ``{`` (0x7B), so
-one byte of lookahead (:meth:`BufferedInputStream.peek_byte`) classifies
-every frame.  :func:`recv_frame_auto` does exactly that.
+A daemon keeps the connection open after the exit frame, so the client's
+channel pool can reuse it for the next request.  Receivers ignore
+unknown JSON keys, but reject unknown tags and payloads larger than
+:data:`MAX_FRAME_PAYLOAD`.
 
-On the JSON path, data frames whose bytes are not valid UTF-8 carry a
-``"b"`` key (base64 of the exact bytes) next to the lossy ``"d"`` text,
-so new peers round-trip binary output even in fallback mode while old
-peers still display what they always displayed.
-
-:class:`FrameChannel` bundles a buffered reader, a write-locked buffered
-writer, and the negotiated encoding; :class:`FrameOutputStream` turns an
-application's stdout/stderr writes into data frames, *coalescing* small
-writes into one frame per newline / size threshold / latency bound.
+:class:`FrameChannel` bundles a buffered reader and a write-locked
+buffered writer; :class:`FrameOutputStream` turns an application's
+stdout/stderr writes into data frames, *coalescing* small writes into one
+frame per newline / size threshold / latency bound.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 import threading
 import time
-from typing import Optional, Union
+from typing import Optional
 
 from repro.io.streams import (
     BufferedInputStream,
@@ -54,12 +41,7 @@ from repro.io.streams import (
 from repro.jvm.errors import IOException
 from repro.telemetry import current_hub
 
-#: The protocol generation this client/daemon speaks.  Version 2 adds
-#: binary framing and persistent (poolable) connections.
-PROTOCOL_VERSION = 2
-
-#: Binary frame tags.  None may equal ``{`` (0x7B): the first byte of a
-#: frame is what distinguishes binary frames from JSON lines.
+#: Frame tags.
 TAG_STDOUT = 0x01
 TAG_STDERR = 0x02
 TAG_JSON = 0x03
@@ -67,7 +49,7 @@ TAG_JSON = 0x03
 _DATA_TAGS = {TAG_STDOUT: "o", TAG_STDERR: "e"}
 _KIND_TAGS = {"o": TAG_STDOUT, "e": TAG_STDERR}
 
-#: Sanity bound on a single binary frame (malformed-length guard).
+#: Sanity bound on a single frame (malformed-length guard).
 MAX_FRAME_PAYLOAD = 16 * 1024 * 1024
 
 _HEADER = struct.Struct(">BI")
@@ -101,7 +83,6 @@ def ensure_buffered(source: InputStream) -> BufferedInputStream:
 # --------------------------------------------------------------------------
 
 #: ResourceLimits fields carried in a request's ``"limits"`` object.
-#: Old daemons ignore the extra key; old clients simply never send it.
 _LIMIT_FIELDS = ("max_threads", "max_windows", "max_children",
                  "max_open_streams")
 
@@ -137,47 +118,10 @@ def limits_from_wire(wire):
 
 
 # --------------------------------------------------------------------------
-# JSON-lines encoding (protocol 1, and the v2 control/fallback frames)
+# Framing
 # --------------------------------------------------------------------------
 
-def send_frame(output: OutputStream, frame: dict) -> None:
-    """Serialize one frame as a JSON line."""
-    payload = json.dumps(frame, separators=(",", ":")) + "\n"
-    output.write(payload.encode("utf-8"))
-    _count_sent(str(frame.get("t", "req")), len(payload))
-
-
-def _parse_json_frame(line: bytes) -> dict:
-    try:
-        frame = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise IOException(f"malformed frame: {exc}") from exc
-    if not isinstance(frame, dict):
-        raise IOException("malformed frame: not an object")
-    if "b" in frame and frame.get("t") in ("o", "e"):
-        # The JSON fallback's binary escape: ``b`` holds the exact bytes.
-        try:
-            frame["d"] = base64.b64decode(frame["b"])
-        except (ValueError, TypeError) as exc:
-            raise IOException(f"malformed frame: bad base64: {exc}") from exc
-    return frame
-
-
-def recv_frame(source: InputStream) -> Optional[dict]:
-    """Read one JSON-lines frame; None at end of stream."""
-    line = source.read_line()
-    if line is None:
-        return None
-    frame = _parse_json_frame(line)
-    _count_received(str(frame.get("t", "req")), len(line) + 1)
-    return frame
-
-
-# --------------------------------------------------------------------------
-# Binary framing (protocol 2)
-# --------------------------------------------------------------------------
-
-def encode_binary_frame(frame: dict) -> bytes:
+def encode_frame(frame: dict) -> bytes:
     """One frame as ``tag | length | payload`` bytes."""
     kind = frame.get("t")
     data = frame.get("d")
@@ -191,36 +135,37 @@ def encode_binary_frame(frame: dict) -> bytes:
     return _HEADER.pack(tag, len(payload)) + payload
 
 
-def send_binary_frame(output: OutputStream, frame: dict) -> None:
-    encoded = encode_binary_frame(frame)
+def write_frame(output: OutputStream, frame: dict) -> None:
+    encoded = encode_frame(frame)
     output.write(encoded)
     _count_sent(str(frame.get("t", "req")), len(encoded))
 
 
-def recv_frame_auto(source: BufferedInputStream) -> Optional[dict]:
-    """Read one frame of either encoding; None at end of stream.
+def read_frame(source: BufferedInputStream) -> Optional[dict]:
+    """Read one frame; None at end of stream.
 
-    The first byte classifies the frame: ``{`` starts a JSON line, a
-    known tag starts a binary frame, anything else is malformed.  Data
-    frames received in binary carry ``bytes`` in ``"d"``.
+    Data frames carry ``bytes`` in ``"d"``.  Raises :class:`IOException`
+    on an unknown tag, an oversized length, a truncated frame, or a JSON
+    payload that is not an object.
     """
     first = source.peek_byte()
     if first < 0:
         return None
-    if first == 0x7B:  # "{" — a JSON line
-        return recv_frame(source)
     if first not in _DATA_TAGS and first != TAG_JSON:
         raise IOException(f"malformed frame: unknown tag 0x{first:02x}")
-    header = source.read_exactly(_HEADER.size)
-    tag, length = _HEADER.unpack(header)
+    tag, length = _HEADER.unpack(source.read_exactly(_HEADER.size))
     if length > MAX_FRAME_PAYLOAD:
         raise IOException(f"malformed frame: payload of {length} bytes")
     payload = source.read_exactly(length)
     if tag in _DATA_TAGS:
         frame: dict = {"t": _DATA_TAGS[tag], "d": payload}
     else:
-        frame = _parse_json_frame(payload)
-    frame["_binary"] = True
+        try:
+            frame = json.loads(payload.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            raise IOException(f"malformed frame: {exc}") from exc
+        if not isinstance(frame, dict):
+            raise IOException("malformed frame: not an object")
     _count_received(str(frame.get("t", "req")), _HEADER.size + length)
     return frame
 
@@ -232,16 +177,13 @@ def recv_frame_auto(source: BufferedInputStream) -> Optional[dict]:
 class FrameChannel:
     """A framed connection: buffered reader, locked buffered writer.
 
-    ``binary`` selects the *outbound* encoding (flipped by negotiation);
-    ``peer_binary`` records whether the peer has been seen speaking
-    binary (flipped by the receive path).  The write lock makes each
-    frame atomic on the wire even when several streams — remote stdout,
-    stderr, and the exit frame — share the transport.
+    The write lock makes each frame atomic on the wire even when several
+    streams — remote stdout, stderr, and the exit frame — share the
+    transport.
     """
 
     def __init__(self, input_stream: Optional[InputStream] = None,
-                 output_stream: Optional[OutputStream] = None,
-                 binary: bool = False):
+                 output_stream: Optional[OutputStream] = None):
         self.input: Optional[BufferedInputStream] = \
             ensure_buffered(input_stream) if input_stream is not None \
             else None
@@ -251,85 +193,22 @@ class FrameChannel:
             self.output = output_stream
         else:
             self.output = BufferedOutputStream(output_stream)
-        self.binary = binary
-        self.peer_binary = False
         self.closed = False
         self._lock = threading.RLock()
 
-    # -- sending ---------------------------------------------------------------
-
     def send(self, frame: dict, flush: bool = True) -> None:
         with self._lock:
-            if self.binary:
-                send_binary_frame(self.output, frame)
-            else:
-                send_frame(self.output, frame)
+            write_frame(self.output, frame)
             if flush:
                 self.output.flush()
-
-    def send_many(self, frames, flush: bool = True) -> None:
-        """Encode all ``frames`` and ship them as one gather-write.
-
-        The vectored send path: a burst of N frames (a coalesced stdout
-        backlog, an AWT paint storm) costs one ``writev`` on the
-        buffered output — and therefore at most one downstream pipe
-        lock session — instead of N ``send()`` round trips through the
-        channel lock and the sink.  Frame atomicity and ordering match
-        N sequential sends exactly.
-        """
-        frames = list(frames)
-        if not frames:
-            return
-        with self._lock:
-            if self.binary:
-                encoded = [encode_binary_frame(frame) for frame in frames]
-            else:
-                encoded = [
-                    (json.dumps(frame, separators=(",", ":")) + "\n")
-                    .encode("utf-8")
-                    for frame in frames]
-            self.output.writev(encoded)
-            for frame, blob in zip(frames, encoded):
-                _count_sent(str(frame.get("t", "req")), len(blob))
-            current_hub().metrics.counter(
-                "dist.frames.vectored").inc(len(frames))
-            if flush:
-                self.output.flush()
-
-    def send_data(self, kind: str, payload: bytes,
-                  flush: bool = True) -> None:
-        """One stdout/stderr data frame carrying exactly ``payload``.
-
-        Binary mode ships the raw bytes.  JSON mode ships UTF-8 text —
-        with a base64 ``"b"`` escape alongside when the bytes are not
-        valid UTF-8, so new peers round-trip what old peers merely
-        display.
-        """
-        if self.binary:
-            self.send({"t": kind, "d": payload}, flush=flush)
-            return
-        try:
-            frame: dict = {"t": kind, "d": payload.decode("utf-8")}
-        except UnicodeDecodeError:
-            frame = {"t": kind,
-                     "d": payload.decode("utf-8", errors="replace"),
-                     "b": base64.b64encode(payload).decode("ascii")}
-        self.send(frame, flush=flush)
 
     def flush(self) -> None:
         with self._lock:
             if self.output is not None:
                 self.output.flush()
 
-    # -- receiving -------------------------------------------------------------
-
     def recv(self) -> Optional[dict]:
-        frame = recv_frame_auto(self.input)
-        if frame is not None and frame.pop("_binary", False):
-            self.peer_binary = True
-        return frame
-
-    # -- health and teardown ---------------------------------------------------
+        return read_frame(self.input)
 
     def healthy(self) -> bool:
         """Best-effort, non-blocking liveness probe for pooled reuse."""
@@ -370,15 +249,11 @@ class FrameOutputStream(OutputStream):
     appears promptly.
     """
 
-    def __init__(self, transport: Union[FrameChannel, OutputStream],
-                 kind: str = "o",
+    def __init__(self, channel: FrameChannel, kind: str = "o",
                  coalesce_bytes: int = COALESCE_THRESHOLD,
                  max_latency: float = COALESCE_MAX_LATENCY):
         super().__init__()
-        if isinstance(transport, FrameChannel):
-            self._channel = transport
-        else:
-            self._channel = FrameChannel(None, transport)
+        self._channel = channel
         self._kind = kind
         self._coalesce_bytes = coalesce_bytes
         self._max_latency = max_latency
@@ -403,7 +278,8 @@ class FrameOutputStream(OutputStream):
         payload = bytes(self._buffer)
         del self._buffer[:]
         self._writes_in_buffer = 0
-        self._channel.send_data(self._kind, payload, flush=flush_transport)
+        self._channel.send({"t": self._kind, "d": payload},
+                           flush=flush_transport)
 
     def write(self, payload: bytes) -> None:
         self._ensure_open()

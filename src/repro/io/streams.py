@@ -155,16 +155,6 @@ class OutputStream(_StreamBase):
     def write(self, payload: bytes) -> None:
         raise NotImplementedError
 
-    def writev(self, segments) -> None:
-        """Write all ``segments`` in order (gather-write).
-
-        The default is a plain loop; sinks with per-write overhead worth
-        batching (pipes, buffered streams) override it to pay that
-        overhead once for the whole vector.
-        """
-        for segment in segments:
-            self.write(segment)
-
     def flush(self) -> None:
         """Flush buffered bytes (no-op by default)."""
 
@@ -732,31 +722,6 @@ class PipedOutputStream(OutputStream):
                 lambda: pipe.reader_closed
                 or pipe._tail - pipe._head < pipe.capacity)
 
-    def writev(self, segments) -> None:
-        """Gather-write all ``segments`` in one lock session.
-
-        The vectored entry point: N coalesced frames cost one condition
-        acquisition (plus capacity waits), not N ``write()`` calls.
-        """
-        self._ensure_open()
-        pipe = self._pipe
-        with pipe.cond:
-            for segment in segments:
-                if pipe.reader_closed:
-                    raise StreamClosedException("pipe reader closed")
-                total = len(segment)
-                if not total:
-                    continue
-                used = pipe._tail - pipe._head
-                if used + total <= pipe.capacity:
-                    pipe._put(segment, 0)
-                    if used == 0:
-                        pipe._notify_edge()
-                    else:
-                        pipe.suppressed_wakeups += 1
-                else:
-                    self._write_blocking(pipe, memoryview(segment))
-
     def reader_gone_hint(self) -> bool:
         """True when the next write is guaranteed to raise (reader closed)."""
         with self._pipe.cond:
@@ -770,135 +735,12 @@ class PipedOutputStream(OutputStream):
             pipe.cond.notify_all()
 
 
-# -- the legacy bytearray channel, kept for ring-vs-legacy benchmarking ----
-
-class _LegacyPipe:
-    """The pre-ring bounded channel: one shared ``bytearray``."""
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.buffer = bytearray()
-        self.cond = WaitPoint()
-        self.writer_closed = False
-        self.reader_closed = False
-
-
-class _LegacyPipedInputStream(PipedInputStream):
-    """Read side of a legacy pipe: double-copy reads, notify per chunk."""
-
-    def read(self, size: int = -1) -> bytes:
-        self._ensure_open()
-        pipe = self._pipe
-        with pipe.cond:
-            wait_until(
-                pipe.cond,
-                lambda: pipe.buffer or pipe.writer_closed
-                or pipe.reader_closed)
-            if pipe.reader_closed:
-                raise StreamClosedException("pipe reader closed")
-            if not pipe.buffer and pipe.writer_closed:
-                return b""
-            if size is None or size < 0:
-                chunk = bytes(pipe.buffer)
-                del pipe.buffer[:]
-            else:
-                chunk = bytes(pipe.buffer[:size])
-                del pipe.buffer[:size]
-            pipe.cond.notify_all()
-            return chunk
-
-    # The ring's line scan reads ring internals this channel lacks.
-    read_line = InputStream.read_line
-
-    def drain_into(self, consumer, max_bytes: int = -1) -> int:
-        raise NotImplementedError("legacy pipes have no zero-copy drain")
-
-    def try_read(self, size: int = -1) -> Optional[bytes]:
-        self._ensure_open()
-        pipe = self._pipe
-        with pipe.cond:
-            if pipe.reader_closed:
-                raise StreamClosedException("pipe reader closed")
-            if not pipe.buffer:
-                return b"" if pipe.writer_closed else None
-            if size is None or size < 0:
-                chunk = bytes(pipe.buffer)
-                del pipe.buffer[:]
-            else:
-                chunk = bytes(pipe.buffer[:size])
-                del pipe.buffer[:size]
-            pipe.cond.notify_all()
-            return chunk
-
-    def readable_hint(self) -> bool:
-        pipe = self._pipe
-        return bool(pipe.buffer) or pipe.writer_closed or pipe.reader_closed
-
-    def available(self) -> int:
-        with self._pipe.cond:
-            return len(self._pipe.buffer)
-
-    def at_eof_hint(self) -> bool:
-        with self._pipe.cond:
-            return self._pipe.writer_closed and not self._pipe.buffer
-
-    def _close_impl(self) -> None:
-        pipe = self._pipe
-        with pipe.cond:
-            pipe.reader_closed = True
-            pipe.cond.notify_all()
-
-
-class _LegacyPipedOutputStream(PipedOutputStream):
-    """Write side of a legacy pipe: lock and notify per chunk."""
-
-    def write(self, payload) -> None:
-        self._ensure_open()
-        pipe = self._pipe
-        view = payload if isinstance(payload, memoryview) \
-            else memoryview(payload)
-        offset = 0
-        while offset < len(view):
-            with pipe.cond:
-                wait_until(
-                    pipe.cond,
-                    lambda: pipe.reader_closed
-                    or len(pipe.buffer) < pipe.capacity)
-                if pipe.reader_closed:
-                    raise StreamClosedException("pipe reader closed")
-                room = pipe.capacity - len(pipe.buffer)
-                chunk = view[offset:offset + room]
-                pipe.buffer.extend(chunk)
-                offset += len(chunk)
-                pipe.cond.notify_all()
-
-    def writev(self, segments) -> None:
-        for segment in segments:
-            self.write(segment)
-
-    def _close_impl(self) -> None:
-        pipe = self._pipe
-        with pipe.cond:
-            pipe.writer_closed = True
-            pipe.cond.notify_all()
-
-
-def make_pipe(capacity: int = DEFAULT_PIPE_CAPACITY, owner=None,
-              legacy: bool = False) \
+def make_pipe(capacity: int = DEFAULT_PIPE_CAPACITY, owner=None) \
         -> tuple[PipedInputStream, PipedOutputStream]:
-    """Create a connected (reader, writer) pipe pair.
-
-    ``legacy=True`` builds the pre-ring bytearray channel — kept only so
-    the IPC benchmarks can measure the ring against its predecessor.
-    """
-    if legacy:
-        legacy_pipe = _LegacyPipe(capacity)
-        reader: PipedInputStream = _LegacyPipedInputStream(legacy_pipe)
-        writer: PipedOutputStream = _LegacyPipedOutputStream(legacy_pipe)
-    else:
-        pipe = RingPipe(capacity)
-        reader = PipedInputStream(pipe)
-        writer = PipedOutputStream(pipe)
+    """Create a connected (reader, writer) pipe pair."""
+    pipe = RingPipe(capacity)
+    reader = PipedInputStream(pipe)
+    writer = PipedOutputStream(pipe)
     reader.owner = owner
     writer.owner = owner
     return reader, writer
@@ -1115,30 +957,6 @@ class BufferedOutputStream(OutputStream):
             self._buffer.extend(payload)
             if len(self._buffer) >= self._buffer_size:
                 self._drain()
-
-    def writev(self, segments) -> None:
-        """Gather-write: coalesce small segments, bypass with large ones.
-
-        Produces at most one sink ``writev`` (or a short write sequence
-        on sinks without one) for the whole vector, with the pending
-        chunk flushed in order ahead of any bypassing segment.
-        """
-        self._ensure_open()
-        with self._lock:
-            out = []
-            for segment in segments:
-                if len(segment) >= self._buffer_size:
-                    if self._buffer:
-                        out.append(bytes(self._buffer))
-                        del self._buffer[:]
-                    out.append(segment)
-                else:
-                    self._buffer.extend(segment)
-                    if len(self._buffer) >= self._buffer_size:
-                        out.append(bytes(self._buffer))
-                        del self._buffer[:]
-            if out:
-                self._sink.writev(out)
 
     def flush(self) -> None:
         with self._lock:

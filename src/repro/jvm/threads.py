@@ -611,21 +611,3 @@ def checkpoint() -> None:
     if thread is not None:
         thread._check_stop_point()
 
-
-def interruptible_wait(condition: threading.Condition,
-                       predicate: Callable[[], bool],
-                       timeout: Optional[float] = None) -> bool:
-    """Deprecated: use :func:`repro.sched.timers.wait_until`.
-
-    The predicate-wait helper moved into the scheduler's unified timing
-    API (the OS-thread half; tasks use ``repro.sched.ops.wait_on``).
-    This shim forwards with identical semantics and will be removed once
-    external callers have migrated.
-    """
-    import warnings
-    warnings.warn(
-        "interruptible_wait() is deprecated; use "
-        "repro.sched.timers.wait_until (or repro.sched.ops.wait_on "
-        "from a task)", DeprecationWarning, stacklevel=2)
-    from repro.sched.timers import wait_until
-    return wait_until(condition, predicate, timeout=timeout)

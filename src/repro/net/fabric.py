@@ -47,16 +47,6 @@ class Endpoint:
         self.input = reader
         self.output = writer
 
-    def writev(self, segments) -> None:
-        """Gather-write ``segments`` onto the wire in one call.
-
-        The fabric's syscall-analogue for vectored I/O: the underlying
-        pipe consumes the whole vector in a single lock session, so a
-        frame burst costs one writer/reader handoff instead of one per
-        segment.
-        """
-        self.output.writev(segments)
-
     def close(self) -> None:
         self.output.close()
         self.input.close()

@@ -2,7 +2,7 @@
 
 Before this module the codebase had three ad-hoc sleep/timeout idioms:
 raw ``time.sleep`` in polling loops, hand-rolled ``Condition.wait``
-deadline loops (``interruptible_wait``), and the supervisor's backoff
+deadline loops, and the supervisor's backoff
 timer.  They all become one surface here, with two properties the
 scheduler relies on:
 
@@ -14,9 +14,6 @@ scheduler relies on:
   would stall every task on the VM, so these helpers refuse loudly
   (:func:`repro.sched.core.assert_not_loop_thread`) instead of
   deadlocking quietly.
-
-``repro.jvm.threads.interruptible_wait`` is retained as a
-``DeprecationWarning`` shim forwarding to :func:`wait_until`.
 """
 
 from __future__ import annotations

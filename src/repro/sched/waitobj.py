@@ -10,8 +10,8 @@ on.
 
 :class:`WaitPoint` is that object.  It is condition-variable compatible
 (``with wp:``, ``wp.wait(t)``, ``wp.notify_all()``) so the existing
-OS-thread code paths — including :func:`repro.sched.timers.wait_until`,
-the successor of ``interruptible_wait`` — keep working unchanged, and it
+OS-thread code paths — including :func:`repro.sched.timers.wait_until`
+— keep working unchanged, and it
 additionally carries a list of parked :class:`TaskWaiter` continuations
 that ``notify_all`` fires.  A fired task waiter does not run anything
 inline; it hands the parked task back to its scheduler's ready queue

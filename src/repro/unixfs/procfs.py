@@ -145,8 +145,6 @@ class ProcFileSystem:
             f"{int(metrics.total('dist.frames.received'))}",
             f"dist.frames.coalesced\t"
             f"{int(metrics.total('dist.frames.coalesced'))}",
-            f"dist.frames.vectored\t"
-            f"{int(metrics.total('dist.frames.vectored'))}",
             f"security.checks\t{audit.grants + audit.denies}",
             f"security.grants\t{audit.grants}",
             f"security.denies\t{audit.denies}",

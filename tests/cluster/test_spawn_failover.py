@@ -13,8 +13,8 @@ import pytest
 
 from repro.cluster import Cluster, PlacementError
 from repro.core.application import KILLED_EXIT_CODE
+from repro.core.execspec import ExecSpec, Placement, launch
 from repro.core.launcher import MultiProcVM
-from repro.dist.client import remote_exec
 from repro.io.streams import ByteArrayOutputStream, PrintStream
 from repro.jvm.errors import NodeUnavailableException
 from repro.net.fabric import NetworkFabric
@@ -220,8 +220,11 @@ class TestTypedUnavailability:
         with ctrl.host_session():
             ctx = ctrl.initial.context()
             with pytest.raises(NodeUnavailableException):
-                remote_exec(ctx, "no-such-host.example.com", "tools.True",
-                            [], user="alice", password="wonderland")
+                launch(ExecSpec("tools.True", user="alice",
+                                password="wonderland",
+                                placement=Placement.remote(
+                                    "no-such-host.example.com")),
+                       ctx=ctx)
 
     def test_connection_refused_raises_node_unavailable(self, pool):
         """A known host with nothing listening is just as unavailable."""
@@ -229,8 +232,10 @@ class TestTypedUnavailability:
         with ctrl.host_session():
             ctx = ctrl.initial.context()
             with pytest.raises(NodeUnavailableException):
-                remote_exec(ctx, NODE_1, "tools.True", [], port=7555,
-                            user="alice", password="wonderland")
+                launch(ExecSpec("tools.True", user="alice",
+                                password="wonderland",
+                                placement=Placement.remote(NODE_1, 7555)),
+                       ctx=ctx)
 
 
 class TestIntrospection:

@@ -1,6 +1,6 @@
 """Unit tests for the distributed-execution wire protocol."""
 
-import base64
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +12,9 @@ from repro.dist.protocol import (
     TAG_STDOUT,
     FrameChannel,
     FrameOutputStream,
-    encode_binary_frame,
-    recv_frame,
-    recv_frame_auto,
-    send_binary_frame,
-    send_frame,
+    encode_frame,
+    read_frame,
+    write_frame,
 )
 from repro.io.streams import (
     BufferedInputStream,
@@ -26,17 +24,29 @@ from repro.io.streams import (
 from repro.jvm.errors import IOException
 
 
-def roundtrip(*frames):
-    sink = ByteArrayOutputStream()
-    for frame in frames:
-        send_frame(sink, frame)
-    source = ByteArrayInputStream(sink.to_bytes())
+def source_of(data: bytes) -> BufferedInputStream:
+    return BufferedInputStream(ByteArrayInputStream(data))
+
+
+def read_all(data: bytes) -> list:
+    source = source_of(data)
     received = []
     while True:
-        frame = recv_frame(source)
+        frame = read_frame(source)
         if frame is None:
             return received
         received.append(frame)
+
+
+def roundtrip(*frames):
+    sink = ByteArrayOutputStream()
+    for frame in frames:
+        write_frame(sink, frame)
+    return read_all(sink.to_bytes())
+
+
+def json_frame(payload: bytes) -> bytes:
+    return struct.pack(">BI", TAG_JSON, len(payload)) + payload
 
 
 class TestFrames:
@@ -44,220 +54,122 @@ class TestFrames:
         assert roundtrip({"t": "x", "code": 0}) == [{"t": "x", "code": 0}]
 
     def test_multiple_frames_in_order(self):
-        frames = [{"t": "o", "d": "one"}, {"t": "o", "d": "two"},
+        frames = [{"t": "o", "d": b"one"}, {"t": "o", "d": b"two"},
                   {"t": "x", "code": 3}]
         assert roundtrip(*frames) == frames
 
     def test_newlines_inside_payload_survive(self):
-        frame = {"t": "o", "d": "line1\nline2\n"}
-        assert roundtrip(frame) == [frame]
+        frames = [{"t": "o", "d": b"line1\nline2\n"},
+                  {"t": "err", "msg": "first\nsecond"}]
+        assert roundtrip(*frames) == frames
 
     def test_unicode_payload(self):
-        frame = {"t": "o", "d": "héllo — ünïcode"}
-        assert roundtrip(frame) == [frame]
+        text = "héllo — ünïcode"
+        frames = [{"t": "o", "d": text.encode("utf-8")},
+                  {"t": "err", "msg": text}]
+        assert roundtrip(*frames) == frames
 
     def test_eof_returns_none(self):
-        assert recv_frame(ByteArrayInputStream(b"")) is None
+        assert read_frame(source_of(b"")) is None
 
     def test_malformed_json_raises(self):
         with pytest.raises(IOException):
-            recv_frame(ByteArrayInputStream(b"not json\n"))
+            read_frame(source_of(json_frame(b"not json")))
 
     def test_non_object_frame_raises(self):
         with pytest.raises(IOException):
-            recv_frame(ByteArrayInputStream(b"[1,2,3]\n"))
+            read_frame(source_of(json_frame(b"[1,2,3]")))
 
-    def test_base64_escape_restores_exact_bytes(self):
-        # The JSON fallback for non-UTF-8 stdout: "b" wins over lossy "d".
-        raw = b"\xff\xfe binary \x00 tail"
-        escaped = base64.b64encode(raw).decode("ascii")
-        sink = ByteArrayOutputStream()
-        send_frame(sink, {"t": "o",
-                          "d": raw.decode("utf-8", errors="replace"),
-                          "b": escaped})
-        frame = recv_frame(ByteArrayInputStream(sink.to_bytes()))
-        assert frame["d"] == raw
+    def test_json_line_is_not_a_frame(self):
+        with pytest.raises(IOException, match="unknown tag 0x7b"):
+            read_frame(source_of(b'{"t":"x","code":0}\n'))
 
-    def test_bad_base64_escape_raises(self):
-        sink = ByteArrayOutputStream()
-        sink.write(b'{"t":"o","d":"x","b":"%%%not-base64"}\n')
-        with pytest.raises(IOException):
-            recv_frame(ByteArrayInputStream(sink.to_bytes()))
-
-
-def recv_auto(data: bytes):
-    return recv_frame_auto(BufferedInputStream(ByteArrayInputStream(data)))
+    def test_unknown_json_keys_are_kept(self):
+        frame = {"user": "alice", "class_name": "tools.Echo",
+                 "future_field": [1, 2]}
+        assert roundtrip(frame) == [frame]
 
 
 class TestBinaryFrames:
     def test_stdout_frame_carries_raw_bytes(self):
         payload = b"\x00\xff raw \n bytes \xfe"
-        encoded = encode_binary_frame({"t": "o", "d": payload})
+        encoded = encode_frame({"t": "o", "d": payload})
         assert encoded[0] == TAG_STDOUT
-        frame = recv_auto(encoded)
-        assert frame == {"t": "o", "d": payload, "_binary": True}
+        assert read_all(encoded) == [{"t": "o", "d": payload}]
 
     def test_stderr_frame_tag(self):
-        encoded = encode_binary_frame({"t": "e", "d": b"oops"})
+        encoded = encode_frame({"t": "e", "d": b"oops"})
         assert encoded[0] == TAG_STDERR
-        assert recv_auto(encoded)["t"] == "e"
+        assert read_all(encoded)[0]["t"] == "e"
 
     def test_control_frames_travel_as_json_payload(self):
-        encoded = encode_binary_frame({"t": "x", "code": 7})
+        encoded = encode_frame({"t": "x", "code": 7})
         assert encoded[0] == TAG_JSON
-        frame = recv_auto(encoded)
-        assert frame == {"t": "x", "code": 7, "_binary": True}
+        assert read_all(encoded) == [{"t": "x", "code": 7}]
+
+    def test_request_frames_travel_as_json_payload(self):
+        encoded = encode_frame({"user": "alice", "class_name": "tools.Echo"})
+        assert encoded[0] == TAG_JSON
 
     def test_back_to_back_frames(self):
-        sink = ByteArrayOutputStream()
-        send_binary_frame(sink, {"t": "o", "d": b"one\n"})
-        send_binary_frame(sink, {"t": "e", "d": b"two"})
-        send_binary_frame(sink, {"t": "x", "code": 0})
-        source = BufferedInputStream(ByteArrayInputStream(sink.to_bytes()))
-        kinds = []
-        while True:
-            frame = recv_frame_auto(source)
-            if frame is None:
-                break
-            kinds.append(frame["t"])
+        kinds = [frame["t"] for frame in roundtrip(
+            {"t": "o", "d": b"one\n"}, {"t": "e", "d": b"two"},
+            {"t": "x", "code": 0})]
         assert kinds == ["o", "e", "x"]
-
-    def test_sniffing_mixes_json_lines_and_binary(self):
-        # One connection, both encodings: the first byte decides.
-        sink = ByteArrayOutputStream()
-        send_frame(sink, {"t": "o", "d": "json line"})
-        send_binary_frame(sink, {"t": "o", "d": b"binary"})
-        send_frame(sink, {"t": "x", "code": 0})
-        source = BufferedInputStream(ByteArrayInputStream(sink.to_bytes()))
-        first = recv_frame_auto(source)
-        second = recv_frame_auto(source)
-        third = recv_frame_auto(source)
-        assert first == {"t": "o", "d": "json line"}
-        assert second == {"t": "o", "d": b"binary", "_binary": True}
-        assert third["t"] == "x"
-
-    def test_eof_returns_none(self):
-        assert recv_auto(b"") is None
 
     def test_unknown_tag_raises(self):
         with pytest.raises(IOException, match="unknown tag"):
-            recv_auto(b"\x42\x00\x00\x00\x01x")
+            read_frame(source_of(b"\x42\x00\x00\x00\x01x"))
 
     def test_oversized_length_raises(self):
-        import struct
         header = struct.pack(">BI", TAG_STDOUT, MAX_FRAME_PAYLOAD + 1)
         with pytest.raises(IOException, match="payload"):
-            recv_auto(header)
+            read_frame(source_of(header))
 
     def test_truncated_frame_raises(self):
-        encoded = encode_binary_frame({"t": "o", "d": b"full payload"})
+        encoded = encode_frame({"t": "o", "d": b"full payload"})
         with pytest.raises(IOException):
-            recv_auto(encoded[:-3])
+            read_frame(source_of(encoded[:-3]))
 
 
 class TestFrameChannel:
-    def make_pair(self, binary=False):
+    def test_data_frames_carry_their_tag(self):
         sink = ByteArrayOutputStream()
-        channel = FrameChannel(None, sink, binary=binary)
-        return sink, channel
-
-    def test_json_mode_sends_lines(self):
-        sink, channel = self.make_pair(binary=False)
-        channel.send_data("o", b"hello")
-        assert sink.to_bytes().startswith(b"{")
-
-    def test_binary_mode_sends_frames(self):
-        sink, channel = self.make_pair(binary=True)
-        channel.send_data("o", b"hello")
+        FrameChannel(None, sink).send({"t": "o", "d": b"hello"})
         assert sink.to_bytes()[0] == TAG_STDOUT
 
-    def test_json_mode_escapes_non_utf8(self):
-        sink, channel = self.make_pair(binary=False)
-        raw = b"\xff\x00 not utf-8"
-        channel.send_data("o", raw)
-        frame = recv_frame(ByteArrayInputStream(sink.to_bytes()))
-        assert frame["d"] == raw  # restored via the "b" escape
-
-    def test_recv_flips_peer_binary(self):
+    def test_recv_reads_what_send_wrote(self):
         sink = ByteArrayOutputStream()
-        send_binary_frame(sink, {"t": "x", "code": 0})
+        FrameChannel(None, sink).send({"t": "x", "code": 0})
         channel = FrameChannel(ByteArrayInputStream(sink.to_bytes()), None)
-        assert not channel.peer_binary
-        frame = channel.recv()
-        assert frame == {"t": "x", "code": 0}  # _binary popped
-        assert channel.peer_binary
+        assert channel.recv() == {"t": "x", "code": 0}
+        assert channel.recv() is None
 
-    def test_json_recv_leaves_peer_binary_false(self):
+    def test_unflushed_send_stays_buffered(self):
         sink = ByteArrayOutputStream()
-        send_frame(sink, {"t": "x", "code": 0})
-        channel = FrameChannel(ByteArrayInputStream(sink.to_bytes()), None)
-        channel.recv()
-        assert not channel.peer_binary
-
-    def _drain_frames(self, payload: bytes) -> list:
-        channel = FrameChannel(ByteArrayInputStream(payload), None)
-        frames = []
-        while True:
-            frame = channel.recv()
-            if frame is None:
-                return frames
-            frames.append(frame)
-
-    def test_send_many_json_round_trips_in_order(self):
-        sink, channel = self.make_pair(binary=False)
-        channel.send_many([{"t": "o", "d": "first"},
-                           {"t": "e", "d": "second"},
-                           {"t": "x", "code": 3}])
-        assert self._drain_frames(sink.to_bytes()) == [
-            {"t": "o", "d": "first"},
-            {"t": "e", "d": "second"},
-            {"t": "x", "code": 3}]
-
-    def test_send_many_binary_round_trips_in_order(self):
-        sink, channel = self.make_pair(binary=True)
-        channel.send_many([{"t": "o", "d": b"raw\x00bytes"},
-                           {"t": "hello", "proto": 2}])
-        assert self._drain_frames(sink.to_bytes()) == [
-            {"t": "o", "d": b"raw\x00bytes"},
-            {"t": "hello", "proto": 2}]
-
-    def test_send_many_matches_sequential_sends_on_the_wire(self):
-        frames = [{"t": "o", "d": b"a" * 10}, {"t": "e", "d": b"b"},
-                  {"t": "x", "code": 0}]
-        vector_sink, vector_channel = self.make_pair(binary=True)
-        vector_channel.send_many(frames)
-        seq_sink, seq_channel = self.make_pair(binary=True)
-        for frame in frames:
-            seq_channel.send(frame)
-        assert vector_sink.to_bytes() == seq_sink.to_bytes()
-
-    def test_send_many_empty_vector_is_a_noop(self):
-        sink, channel = self.make_pair(binary=True)
-        channel.send_many([])
+        channel = FrameChannel(None, sink)
+        channel.send({"t": "o", "d": b"later"}, flush=False)
         assert sink.to_bytes() == b""
+        channel.flush()
+        assert read_all(sink.to_bytes()) == [{"t": "o", "d": b"later"}]
 
-    def test_send_many_interleaves_atomically_with_send(self):
-        """Concurrent send/send_many never split a frame on the wire."""
+    def test_concurrent_sends_never_split_a_frame(self):
         from repro.io.streams import make_pipe
         from repro.jvm.threads import JThread, ThreadGroup
 
         root = ThreadGroup(None, "system")
         reader, writer = make_pipe()
-        channel = FrameChannel(None, writer, binary=True)
+        channel = FrameChannel(None, writer)
 
-        def burst():
-            for _ in range(50):
-                channel.send_many(
-                    [{"t": "o", "d": b"vec"}] * 4, flush=False)
-            channel.flush()
+        def sender(kind, payload):
+            def run():
+                for _ in range(200):
+                    channel.send({"t": kind, "d": payload}, flush=False)
+                channel.flush()
+            return run
 
-        def single():
-            for _ in range(200):
-                channel.send({"t": "e", "d": b"one"}, flush=False)
-            channel.flush()
-
-        threads = [JThread(target=burst, group=root),
-                   JThread(target=single, group=root)]
+        threads = [JThread(target=sender("o", b"out"), group=root),
+                   JThread(target=sender("e", b"err!"), group=root)]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -271,91 +183,83 @@ class TestFrameChannel:
             if frame is None:
                 break
             counts[frame["t"]] += 1
-            assert frame["d"] in (b"vec", b"one")
+            assert frame["d"] in (b"out", b"err!")
         assert counts == {"o": 200, "e": 200}
+
+
+def frames_on(sink: ByteArrayOutputStream) -> list:
+    return read_all(sink.to_bytes())
+
+
+def frame_stream(kind="o", **kwargs):
+    sink = ByteArrayOutputStream()
+    return sink, FrameOutputStream(FrameChannel(None, sink), kind, **kwargs)
 
 
 class TestFrameOutputStream:
     def test_line_writes_become_one_frame_each(self):
-        transport = ByteArrayOutputStream()
-        stream = FrameOutputStream(transport, "o")
+        sink, stream = frame_stream()
         stream.write(b"line one\n")
         stream.write(b"line two\n")
-        source = ByteArrayInputStream(transport.to_bytes())
-        assert recv_frame(source) == {"t": "o", "d": "line one\n"}
-        assert recv_frame(source) == {"t": "o", "d": "line two\n"}
+        assert frames_on(sink) == [{"t": "o", "d": b"line one\n"},
+                                   {"t": "o", "d": b"line two\n"}]
 
     def test_small_writes_coalesce_until_flush(self):
-        transport = ByteArrayOutputStream()
-        stream = FrameOutputStream(transport, "o")
+        sink, stream = frame_stream()
         stream.write(b"payload ")
         stream.write(b"bytes")
-        assert transport.to_bytes() == b""  # nothing on the wire yet
+        assert sink.to_bytes() == b""  # nothing on the wire yet
         stream.flush()
-        source = ByteArrayInputStream(transport.to_bytes())
-        assert recv_frame(source) == {"t": "o", "d": "payload bytes"}
-        assert recv_frame(source) is None  # one frame, not two
+        # One frame, not two.
+        assert frames_on(sink) == [{"t": "o", "d": b"payload bytes"}]
 
     def test_byte_at_a_time_costs_one_frame_per_line(self):
-        transport = ByteArrayOutputStream()
-        stream = FrameOutputStream(transport, "o")
+        sink, stream = frame_stream()
         for byte in b"abc\n":
             stream.write(bytes([byte]))
-        source = ByteArrayInputStream(transport.to_bytes())
-        assert recv_frame(source) == {"t": "o", "d": "abc\n"}
-        assert recv_frame(source) is None
+        assert frames_on(sink) == [{"t": "o", "d": b"abc\n"}]
 
     def test_size_threshold_forces_emit(self):
-        transport = ByteArrayOutputStream()
-        stream = FrameOutputStream(transport, "o", coalesce_bytes=8)
+        sink, stream = frame_stream(coalesce_bytes=8)
         stream.write(b"0123456789")  # >= threshold, no newline
-        frame = recv_frame(ByteArrayInputStream(transport.to_bytes()))
-        assert frame == {"t": "o", "d": "0123456789"}
+        assert frames_on(sink) == [{"t": "o", "d": b"0123456789"}]
 
     def test_stderr_kind(self):
-        transport = ByteArrayOutputStream()
-        stream = FrameOutputStream(transport, "e")
+        sink, stream = frame_stream("e")
         stream.write(b"oops")
         stream.flush()
-        assert recv_frame(
-            ByteArrayInputStream(transport.to_bytes())) == \
-            {"t": "e", "d": "oops"}
+        assert frames_on(sink) == [{"t": "e", "d": b"oops"}]
 
     def test_close_flushes_but_does_not_close_transport(self):
-        transport = ByteArrayOutputStream()
-        stream = FrameOutputStream(transport)
+        sink, stream = frame_stream()
         stream.write(b"tail")
         stream.close()
-        assert not transport.closed  # shared with the exit frame
-        frame = recv_frame(ByteArrayInputStream(transport.to_bytes()))
-        assert frame == {"t": "o", "d": "tail"}
+        assert not sink.closed  # shared with the exit frame
+        assert frames_on(sink) == [{"t": "o", "d": b"tail"}]
 
     def test_print_stream_over_frames(self):
         from repro.io.streams import PrintStream
-        transport = ByteArrayOutputStream()
-        printer = PrintStream(FrameOutputStream(transport))
-        printer.println("hello")
-        frame = recv_frame(ByteArrayInputStream(transport.to_bytes()))
-        assert frame == {"t": "o", "d": "hello\n"}
+        sink, stream = frame_stream()
+        PrintStream(stream).println("hello")
+        assert frames_on(sink) == [{"t": "o", "d": b"hello\n"}]
 
-    def test_binary_channel_frames_raw_bytes(self):
-        sink = ByteArrayOutputStream()
-        channel = FrameChannel(None, sink, binary=True)
-        stream = FrameOutputStream(channel, "o")
+    def test_channel_frames_raw_bytes(self):
+        sink, stream = frame_stream()
         raw = b"\xde\xad\xbe\xef"
         stream.write(raw)
         stream.flush()
-        frame = recv_auto(sink.to_bytes())
-        assert frame["d"] == raw
+        assert frames_on(sink)[0]["d"] == raw
 
 
 json_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60)
 
 
-@given(frames=st.lists(
+@given(frames=st.lists(st.one_of(
     st.fixed_dictionaries({"t": st.sampled_from(["o", "e"]),
-                           "d": json_text}), max_size=10))
+                           "d": st.binary(max_size=60)}),
+    st.fixed_dictionaries({"t": st.sampled_from(["err", "x"]),
+                           "msg": json_text})), max_size=10))
 @settings(max_examples=80, deadline=None)
 def test_arbitrary_frame_sequences_roundtrip(frames):
     assert roundtrip(*frames) == frames
@@ -365,35 +269,16 @@ def test_arbitrary_frame_sequences_roundtrip(frames):
 @settings(max_examples=80, deadline=None)
 def test_frame_stream_is_lossless_for_utf8_payloads(payload):
     text = payload.decode("utf-8", errors="replace")
-    transport = ByteArrayOutputStream()
-    stream = FrameOutputStream(transport)
+    sink, stream = frame_stream()
     stream.write(text.encode("utf-8"))
     stream.flush()
-    frame = recv_frame(ByteArrayInputStream(transport.to_bytes()))
-    assert frame["d"] == text
+    assert frames_on(sink)[0]["d"].decode("utf-8") == text
 
 
 @given(payload=st.binary(min_size=1, max_size=200))
 @settings(max_examples=80, deadline=None)
 def test_binary_framing_is_lossless_for_arbitrary_bytes(payload):
-    sink = ByteArrayOutputStream()
-    channel = FrameChannel(None, sink, binary=True)
-    stream = FrameOutputStream(channel)
+    sink, stream = frame_stream()
     stream.write(payload)
     stream.flush()
-    frame = recv_auto(sink.to_bytes())
-    assert frame["d"] == payload
-
-
-@given(payload=st.binary(min_size=1, max_size=200))
-@settings(max_examples=80, deadline=None)
-def test_json_fallback_is_lossless_for_arbitrary_bytes(payload):
-    # Even protocol-1 framing round-trips bytes now, via the "b" escape.
-    sink = ByteArrayOutputStream()
-    channel = FrameChannel(None, sink, binary=False)
-    channel.send_data("o", payload)
-    frame = recv_frame(ByteArrayInputStream(sink.to_bytes()))
-    got = frame["d"]
-    if isinstance(got, str):
-        got = got.encode("utf-8")
-    assert got == payload
+    assert frames_on(sink)[0]["d"] == payload

@@ -8,12 +8,9 @@ import time
 
 import pytest
 
+from repro.core.execspec import ExecSpec, Placement, launch
 from repro.core.launcher import MultiProcVM
-from repro.dist.client import (
-    DistributedApplication,
-    RemoteApplication,
-    remote_exec,
-)
+from repro.dist.client import DistributedApplication
 from repro.io.streams import ByteArrayOutputStream, PrintStream
 from repro.jvm.errors import RemoteException, SecurityException
 from repro.net.fabric import NetworkFabric
@@ -22,6 +19,14 @@ from repro.unixfs.machine import standard_process
 HOST_A = "vm-a.example.com"
 HOST_B = "vm-b.example.com"
 PORT = 7100
+
+
+def rexec(ctx, class_name, args, user="alice", password="wonderland"):
+    """Launch ``class_name`` on JVM B with ``user``'s credentials."""
+    return launch(ExecSpec(class_name, tuple(args), user=user,
+                           password=password,
+                           placement=Placement.remote(HOST_B, PORT)),
+                  ctx=ctx)
 
 
 @pytest.fixture
@@ -50,9 +55,7 @@ class TestRemoteExec:
         mvm_a, mvm_b, __ = cluster
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, HOST_B, "tools.Echo",
-                                 ["hello", "from", "afar"],
-                                 user="alice", password="wonderland")
+            remote = rexec(ctx, "tools.Echo", ["hello", "from", "afar"])
             assert remote.wait_for(10) == 0
         assert remote.output_text() == "hello from afar\n"
 
@@ -60,8 +63,8 @@ class TestRemoteExec:
         mvm_a, mvm_b, __ = cluster
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, HOST_B, "tools.Whoami", [],
-                                 user="bob", password="builder")
+            remote = rexec(ctx, "tools.Whoami", [],
+                           user="bob", password="builder")
             assert remote.wait_for(10) == 0
         assert remote.output_text().strip() == "bob"
 
@@ -70,13 +73,9 @@ class TestRemoteExec:
         mvm_a, mvm_b, __ = cluster
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            allowed = remote_exec(ctx, HOST_B, "tools.Cat",
-                                  ["/home/alice/notes.txt"],
-                                  user="alice", password="wonderland")
+            allowed = rexec(ctx, "tools.Cat", ["/home/alice/notes.txt"])
             assert allowed.wait_for(10) == 0
-            denied = remote_exec(ctx, HOST_B, "tools.Cat",
-                                 ["/home/bob/todo.txt"],
-                                 user="alice", password="wonderland")
+            denied = rexec(ctx, "tools.Cat", ["/home/bob/todo.txt"])
             assert denied.wait_for(10) == 1
         assert "private notes" in allowed.output_text()
         assert "AccessControlException" in denied.output_text()
@@ -85,8 +84,8 @@ class TestRemoteExec:
         mvm_a, __, ___ = cluster
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, HOST_B, "tools.Echo", ["x"],
-                                 user="alice", password="wrong")
+            remote = rexec(ctx, "tools.Echo", ["x"],
+                           user="alice", password="wrong")
             with pytest.raises(RemoteException):
                 remote.wait_for(10)
 
@@ -94,8 +93,7 @@ class TestRemoteExec:
         mvm_a, __, ___ = cluster
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, HOST_B, "no.Such", [],
-                                 user="alice", password="wonderland")
+            remote = rexec(ctx, "no.Such", [])
             with pytest.raises(RemoteException):
                 remote.wait_for(10)
 
@@ -103,16 +101,14 @@ class TestRemoteExec:
         mvm_a, __, ___ = cluster
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, HOST_B, "tools.False", [],
-                                 user="alice", password="wonderland")
+            remote = rexec(ctx, "tools.False", [])
             assert remote.wait_for(10) == 1
 
     def test_destroy_reaches_the_remote_jvm(self, cluster):
         mvm_a, mvm_b, __ = cluster
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, HOST_B, "tools.Sleep", ["30"],
-                                 user="alice", password="wonderland")
+            remote = rexec(ctx, "tools.Sleep", ["30"])
             assert remote.wait_for(0.3) is None  # still running over there
             remote.destroy()
             code = remote.wait_for(10)
@@ -128,9 +124,7 @@ class TestDistributedApplication:
             ctx = mvm_a.initial.context()
             local = mvm_a.exec("tools.Sleep", ["30"])
             distributed = DistributedApplication(local=local)
-            distributed.add_remote(remote_exec(
-                ctx, HOST_B, "tools.Sleep", ["30"],
-                user="alice", password="wonderland"))
+            distributed.add_remote(rexec(ctx, "tools.Sleep", ["30"]))
             assert not distributed.terminated
             distributed.destroy_all()
             codes = distributed.wait_all(10)
@@ -144,9 +138,7 @@ class TestDistributedApplication:
             ctx = mvm_a.initial.context()
             distributed = DistributedApplication(
                 local=mvm_a.exec("tools.True", []))
-            distributed.add_remote(remote_exec(
-                ctx, HOST_B, "tools.False", [],
-                user="alice", password="wonderland"))
+            distributed.add_remote(rexec(ctx, "tools.False", []))
             codes = distributed.wait_all(10)
         assert codes == [0, 1]
 
@@ -206,8 +198,7 @@ class TestDaemonRobustness:
         # The daemon keeps serving proper requests afterwards.
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, HOST_B, "tools.Echo", ["ok"],
-                                 user="alice", password="wonderland")
+            remote = rexec(ctx, "tools.Echo", ["ok"])
             assert remote.wait_for(10) == 0
         assert daemon.running
 

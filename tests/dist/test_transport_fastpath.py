@@ -1,10 +1,10 @@
-"""The transport fast path: pooling, binary framing, cross-version interop.
+"""The transport: pooling, byte-exact framing, coalescing, the wire format.
 
-Same two-JVM setup as ``test_remote_exec`` — these tests pin down the
-*new* transport behaviours: connections outlive one exec and come back
-from the per-VM pool, remote stdout is byte-exact in both encodings,
-small writes coalesce into few frames, and a protocol-2 peer still
-interoperates with a JSON-lines (protocol 1) peer in either direction.
+Same two-JVM setup as ``test_remote_exec`` — these tests pin down how the
+transport behaves: connections outlive one exec and come back from the
+per-VM pool, remote stdout is byte-exact, small writes coalesce into few
+frames, every client frame is ``tag|len|payload``, and a JSON-lines
+request is refused before anything runs.
 """
 
 import json
@@ -12,9 +12,11 @@ import time
 
 import pytest
 
+from repro.core.execspec import ExecSpec, Placement, launch
 from repro.core.launcher import MultiProcVM
-from repro.dist.client import remote_exec
 from repro.dist.pool import pool_for
+from repro.dist.protocol import TAG_JSON, encode_frame, read_frame
+from repro.io.streams import BufferedInputStream
 from repro.jvm.errors import RemoteException, SecurityException
 from repro.jvm.threads import JThread
 from repro.net.fabric import NetworkFabric
@@ -24,8 +26,16 @@ from tests.conftest import make_app
 
 HOST_A = "vm-a.example.com"
 HOST_B = "vm-b.example.com"
-LEGACY_HOST = "legacy.example.com"
+PEER_HOST = "peer.example.com"
 PORT = 7100
+
+
+def rexec(ctx, class_name, args, host=HOST_B):
+    """Launch ``class_name`` on ``host`` with alice's credentials."""
+    return launch(ExecSpec(class_name, tuple(args), user="alice",
+                           password="wonderland",
+                           placement=Placement.remote(host, PORT)),
+                  ctx=ctx)
 
 
 @pytest.fixture
@@ -64,10 +74,8 @@ class TestConnectionPool:
         mvm_a, __, ___ = pair
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, HOST_B, "tools.Echo", ["one"],
-                                 user="alice", password="wonderland")
+            remote = rexec(ctx, "tools.Echo", ["one"])
             assert remote.wait_for(10) == 0
-            assert remote.transport_binary  # protocol 2 negotiated
             pool = pool_for(mvm_a.vm)
             wait_for_idle(pool, 1)
             assert pool.idle_counts() == {f"{HOST_B}:{PORT}": 1}
@@ -77,40 +85,24 @@ class TestConnectionPool:
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
             pool = pool_for(mvm_a.vm)
-            first = remote_exec(ctx, HOST_B, "tools.Echo", ["one"],
-                                user="alice", password="wonderland")
+            first = rexec(ctx, "tools.Echo", ["one"])
             assert first.wait_for(10) == 0
             wait_for_idle(pool, 1)
             hits_before = pool.stats()["hits"]
-            second = remote_exec(ctx, HOST_B, "tools.Echo", ["two"],
-                                 user="alice", password="wonderland")
+            second = rexec(ctx, "tools.Echo", ["two"])
             assert second.wait_for(10) == 0
         assert second.output_text() == "two\n"
         assert pool.stats()["hits"] == hits_before + 1
-
-    def test_proto1_connection_is_not_pooled(self, pair):
-        mvm_a, __, ___ = pair
-        with mvm_a.host_session():
-            ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, HOST_B, "tools.Echo", ["legacy"],
-                                 user="alice", password="wonderland",
-                                 proto=1)
-            assert remote.wait_for(10) == 0
-        assert remote.output_text() == "legacy\n"
-        assert not remote.transport_binary  # daemon answered in JSON lines
-        assert pool_for(mvm_a.vm).stats()["idle"] == 0
 
     def test_node_death_invalidates_idle_channels(self, pair):
         mvm_a, mvm_b, __ = pair
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            warm = remote_exec(ctx, HOST_B, "tools.Echo", ["warm"],
-                               user="alice", password="wonderland")
+            warm = rexec(ctx, "tools.Echo", ["warm"])
             assert warm.wait_for(10) == 0
             pool = pool_for(mvm_a.vm)
             wait_for_idle(pool, 1)
-            victim = remote_exec(ctx, HOST_B, "tools.Sleep", ["30"],
-                                 user="alice", password="wonderland")
+            victim = rexec(ctx, "tools.Sleep", ["30"])
             assert victim.wait_for(0.3) is None  # running over there
             # Sever the victim's transport abruptly — the network died,
             # not the remote application.
@@ -129,8 +121,7 @@ class TestConnectionPool:
         mvm_a, __, ___ = pair
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            warm = remote_exec(ctx, HOST_B, "tools.Echo", ["warm"],
-                               user="alice", password="wonderland")
+            warm = rexec(ctx, "tools.Echo", ["warm"])
             assert warm.wait_for(10) == 0
             pool = pool_for(mvm_a.vm)
             wait_for_idle(pool, 1)
@@ -167,21 +158,7 @@ class TestByteExactOutput:
         class_name = self.register_binary_writer(mvm_b)
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, HOST_B, class_name, [],
-                                 user="alice", password="wonderland")
-            assert remote.wait_for(10) == 0
-        assert remote.output_bytes() == self.RAW
-
-    def test_json_fallback_preserves_non_utf8_stdout(self, pair):
-        # Protocol 1 framing round-trips bytes too, via the base64 "b"
-        # escape a new receiver decodes (an old one shows lossy text).
-        mvm_a, mvm_b, __ = pair
-        class_name = self.register_binary_writer(mvm_b)
-        with mvm_a.host_session():
-            ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, HOST_B, class_name, [],
-                                 user="alice", password="wonderland",
-                                 proto=1)
+            remote = rexec(ctx, class_name, [])
             assert remote.wait_for(10) == 0
         assert remote.output_bytes() == self.RAW
 
@@ -202,8 +179,7 @@ class TestCoalescing:
         coalesced_before = metrics.total("dist.frames.coalesced")
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, HOST_B, class_name, [],
-                                 user="alice", password="wonderland")
+            remote = rexec(ctx, class_name, [])
             assert remote.wait_for(10) == 0
         assert remote.output_bytes() == line
         frames = metrics.total("dist.frames.sent", type="o") - frames_before
@@ -212,63 +188,58 @@ class TestCoalescing:
         assert coalesced == len(line) - 1
 
 
-class TestCrossVersion:
-    def test_new_client_against_json_lines_daemon(self, pair):
-        """A protocol-2 client run against a peer that only speaks the
-        original JSON-lines protocol: the exec succeeds, the output
-        arrives, and the (non-reusable) connection stays out of the
-        pool."""
+class TestWireFormat:
+    def test_client_request_is_a_json_tagged_frame(self, pair):
+        """The request travels as ``TAG_JSON | len | payload`` with no
+        protocol-version key; an exit frame back ends the exec cleanly."""
         mvm_a, __, fabric = pair
-        legacy = fabric.add_host(LEGACY_HOST)
-        listener = legacy.listen(PORT)
+        listener = fabric.add_host(PEER_HOST).listen(PORT)
+        seen = {}
 
-        def old_daemon():
+        def peer():
             endpoint = listener.accept(timeout=5)
             if endpoint is None:
                 return
-            request = json.loads(endpoint.input.read_line())
-            assert request["class_name"] == "tools.Echo"
-            # An old daemon ignores the unknown "proto" key and answers
-            # in JSON lines, then hangs up after the exit frame.
-            for frame in ({"t": "o", "d": "legacy says hi\n"},
-                          {"t": "x", "code": 0}):
-                line = json.dumps(frame) + "\n"
-                endpoint.output.write(line.encode("utf-8"))
-            endpoint.close()
+            source = BufferedInputStream(endpoint.input)
+            seen["first_byte"] = source.peek_byte()
+            seen["request"] = read_frame(source)
+            endpoint.output.write(encode_frame({"t": "x", "code": 0}))
 
-        thread = JThread(target=old_daemon, name="legacy-daemon",
+        thread = JThread(target=peer, name="frame-peer",
                          group=mvm_a.vm.root_group, daemon=True)
         thread.start()
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            remote = remote_exec(ctx, LEGACY_HOST, "tools.Echo", ["hi"],
-                                 user="alice", password="wonderland")
+            remote = rexec(ctx, "tools.Echo", ["hi"], host=PEER_HOST)
             assert remote.wait_for(10) == 0
         thread.join(5)
-        assert remote.output_text() == "legacy says hi\n"
-        assert not remote.transport_binary
-        assert pool_for(mvm_a.vm).idle_counts().get(
-            f"{LEGACY_HOST}:{PORT}") is None
+        assert seen["first_byte"] == TAG_JSON
+        request = seen["request"]
+        assert request["class_name"] == "tools.Echo"
+        assert request["args"] == ["hi"]
+        assert "proto" not in request
 
-    def test_json_lines_client_against_new_daemon(self, pair):
-        """An old client (no "proto" key, expects JSON lines) against the
-        new daemon: every reply frame is a JSON line and the daemon
-        hangs up after the exit frame — the protocol-1 lifecycle."""
-        mvm_a, __, fabric = pair
+    def test_json_lines_request_is_closed_unlaunched(self, pair,
+                                                     monkeypatch):
+        """A JSON-lines request is not a frame: the daemon hangs up
+        without authenticating anyone or launching anything."""
+        __, mvm_b, fabric = pair
+        database = mvm_b.vm.user_database
+        authentications = []
+        original = database.authenticate
+
+        def counting(*args, **kwargs):
+            authentications.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(database, "authenticate", counting)
+        metrics = mvm_b.vm.telemetry.metrics
+        launched_before = metrics.total("apps.launched")
         endpoint = fabric.connect(HOST_A, HOST_B, PORT)
         request = {"user": "alice", "password": "wonderland",
-                   "class_name": "tools.Echo", "args": ["from", "the", "past"]}
-        endpoint.output.write(
-            (json.dumps(request) + "\n").encode("utf-8"))
-        frames = []
-        while True:
-            line = endpoint.input.read_line()
-            if line is None:
-                break  # daemon hung up — expected after the exit frame
-            assert line[:1] == b"{"  # JSON lines only, never binary
-            frames.append(json.loads(line))
+                   "class_name": "tools.Echo", "args": ["never"]}
+        endpoint.output.write((json.dumps(request) + "\n").encode("utf-8"))
+        assert endpoint.input.read_all() == b""  # closed, no reply
         endpoint.close()
-        kinds = [frame["t"] for frame in frames]
-        assert kinds[-1] == "x" and frames[-1]["code"] == 0
-        stdout = "".join(f["d"] for f in frames if f["t"] == "o")
-        assert stdout == "from the past\n"
+        assert authentications == []
+        assert metrics.total("apps.launched") == launched_before

@@ -163,52 +163,6 @@ class TestBufferedOutputStream:
         assert inner.to_bytes() == b"abc0123456789"
 
 
-class RecordingVectorSink(ByteArrayOutputStream):
-    """Counts ``write`` and ``writev`` calls for batching assertions."""
-
-    def __init__(self):
-        super().__init__()
-        self.write_calls = 0
-        self.writev_calls = 0
-
-    def write(self, payload) -> None:
-        self.write_calls += 1
-        super().write(payload)
-
-    def writev(self, segments) -> None:
-        self.writev_calls += 1
-        for segment in segments:
-            super().write(segment)
-
-
-class TestBufferedOutputStreamWritev:
-    def test_small_segments_coalesce_in_buffer(self):
-        sink = RecordingVectorSink()
-        out = BufferedOutputStream(sink, buffer_size=1024)
-        out.writev([b"a", b"bb", b"ccc"])
-        assert sink.write_calls == 0 and sink.writev_calls == 0
-        assert out.buffered_count() == 6
-        out.flush()
-        assert sink.to_bytes() == b"abbccc"
-
-    def test_large_segments_ship_in_one_vector(self):
-        sink = RecordingVectorSink()
-        out = BufferedOutputStream(sink, buffer_size=8)
-        out.writev([b"pending", b"0123456789", b"x", b"abcdefghij"])
-        out.flush()
-        # The whole mixed vector reached the sink as one writev (plus
-        # at most one flush write for the trailing small segment).
-        assert sink.writev_calls == 1
-        assert sink.to_bytes() == b"pending0123456789xabcdefghij"
-
-    def test_writev_over_a_pipe_round_trips(self):
-        reader, writer = make_pipe()
-        out = BufferedOutputStream(writer, buffer_size=8)
-        out.writev([b"one ", b"two ", b"a segment past the threshold "])
-        out.flush()
-        assert reader.read(-1) == b"one two a segment past the threshold "
-
-
 class TestPipeCloseRaces:
     """Close/EPIPE races under the buffered wrappers (pool semantics)."""
 

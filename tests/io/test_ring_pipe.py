@@ -286,58 +286,6 @@ class TestCopyAccounting:
         assert reader.read(-1) == b"z" * (4096 + 64 * 1024)
 
 
-class TestVectoredPipeWrites:
-    def test_writev_order_and_content(self):
-        reader, writer = make_pipe()
-        writer.writev([b"one ", b"", b"two ", memoryview(b"three")])
-        assert reader.read(-1) == b"one two three"
-
-    def test_writev_blocks_like_write(self, root):
-        reader, writer = make_pipe(capacity=4)
-        done = []
-
-        def produce():
-            writer.writev([b"1234", b"5678"])
-            done.append(True)
-            writer.close()
-
-        producer = JThread(target=produce, group=root)
-        producer.start()
-        producer.join(0.2)
-        assert done == []  # parked: the vector exceeds capacity
-        assert reader.read_all() == b"12345678"
-        producer.join(5)
-        assert done == [True]
-
-    def test_writev_raises_on_closed_reader(self):
-        reader, writer = make_pipe()
-        reader.close()
-        with pytest.raises(StreamClosedException):
-            writer.writev([b"data"])
-
-
-class TestLegacyChannel:
-    def test_legacy_pipe_round_trip(self, root):
-        reader, writer = make_pipe(capacity=64, legacy=True)
-        received = []
-
-        def consume():
-            received.append(reader.read_all())
-
-        consumer = JThread(target=consume, group=root)
-        consumer.start()
-        writer.write(b"legacy " * 32)
-        writer.close()
-        consumer.join(5)
-        assert received == [b"legacy " * 32]
-
-    def test_legacy_broken_pipe(self):
-        reader, writer = make_pipe(legacy=True)
-        reader.close()
-        with pytest.raises(StreamClosedException):
-            writer.write(b"data")
-
-
 class TestLineReads:
     """``PipedInputStream.read_line``: one lock session per line, and
     never a byte past the newline (stdin is shared, §5.1)."""
@@ -449,13 +397,6 @@ class TestLineReads:
             assert reader.read_line() == line[:-1]
         assert pipe.copies - after_write == 10
 
-    def test_legacy_pipe_reads_lines(self):
-        reader, writer = make_pipe(capacity=64, legacy=True)
-        writer.write(b"legacy\nlines\nend")
-        writer.close()
-        assert [reader.read_line() for _ in range(4)] == \
-            [b"legacy", b"lines", b"end", None]
-
 
 class TestReaderCloseRelease:
     def test_reader_close_releases_the_store(self):
@@ -467,8 +408,6 @@ class TestReaderCloseRelease:
         assert pipe._buf is None and pipe._view is None
         with pytest.raises(StreamClosedException):
             writer.write(b"more")
-        with pytest.raises(StreamClosedException):
-            writer.writev([b"more"])
 
     def test_stats_answer_after_reader_close(self):
         reader, writer = make_pipe()

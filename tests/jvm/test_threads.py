@@ -16,9 +16,9 @@ from repro.jvm.threads import (
     JThread,
     ThreadGroup,
     checkpoint,
-    interruptible_wait,
     owning_application,
 )
+from repro.sched.timers import wait_until
 
 
 @pytest.fixture
@@ -296,13 +296,13 @@ class TestInterruptibleWait:
     def test_predicate_satisfied(self):
         cond = threading.Condition()
         with cond:
-            assert interruptible_wait(cond, lambda: True, timeout=0.1)
+            assert wait_until(cond, lambda: True, timeout=0.1)
 
     def test_timeout(self):
         cond = threading.Condition()
         start = time.monotonic()
         with cond:
-            assert not interruptible_wait(cond, lambda: False, timeout=0.1)
+            assert not wait_until(cond, lambda: False, timeout=0.1)
         assert time.monotonic() - start < 1.0
 
 

@@ -1,16 +1,11 @@
-"""Perf gates for the ring-pipe data plane (the ``perf`` marker).
+"""Perf gate for the ring-pipe data plane (the ``perf`` marker).
 
-Two gates keep the zero-copy IPC fast path honest:
+A cross-run gate keeps the zero-copy IPC fast path honest: ring
+throughput must stay within a generous factor of the best non-smoke
+``ring_mb_s`` recorded in ``BENCH_ipc.json`` by full benchmark runs.
+Skipped until a full run has seeded a baseline.
 
-* a within-run ratio gate — the ring pipe (default capacity, zero-copy
-  ``drain_into`` reads) must clearly beat the legacy bytearray channel
-  at the pre-ring configuration, measured back to back in this very
-  process;
-* a cross-run gate — ring throughput must stay within a generous factor
-  of the best non-smoke ``ring_mb_s`` recorded in ``BENCH_ipc.json`` by
-  full benchmark runs.  Skipped until a full run has seeded a baseline.
-
-Margins are loose on purpose: throughput through two Python threads is
+The margin is loose on purpose: throughput through two Python threads is
 at the mercy of the scheduler, and a perf gate that cries wolf gets
 deleted.  Real regressions (a lost wakeup edge, a reintroduced copy)
 are integer-factor events, not 20% events.
@@ -37,29 +32,19 @@ CHUNKS = 128  # 1 MiB per transfer: quick, but past the setup costs
 RETRIES = 3
 
 
-def _transfer_mb_s(legacy: bool) -> float:
+def _transfer_mb_s() -> float:
     """One 8 KiB-chunk transfer between two JThreads; returns MB/s."""
     root = ThreadGroup(None, "system")
-    if legacy:
-        reader, writer = make_pipe(capacity=64 * 1024, legacy=True)
-    else:
-        reader, writer = make_pipe()
+    reader, writer = make_pipe()
     received = []
 
     def consume():
         total = 0
-        if legacy:
-            while True:
-                chunk = reader.read(64 * 1024)
-                if not chunk:
-                    break
-                total += len(chunk)
-        else:
-            while True:
-                drained = reader.drain_into(lambda segments: None)
-                if not drained:
-                    break
-                total += drained
+        while True:
+            drained = reader.drain_into(lambda segments: None)
+            if not drained:
+                break
+            total += drained
         received.append(total)
 
     consumer = JThread(target=consume, group=root)
@@ -74,28 +59,13 @@ def _transfer_mb_s(legacy: bool) -> float:
     return len(PAYLOAD) * CHUNKS / (1024 * 1024) / elapsed
 
 
-def test_ring_vs_legacy_within_ratio():
-    """Within-run gate: ring data plane >= 1.3x the legacy channel."""
-    best_ratio = 0.0
-    for _ in range(RETRIES):
-        legacy_mb_s = _transfer_mb_s(legacy=True)
-        ring_mb_s = _transfer_mb_s(legacy=False)
-        best_ratio = max(best_ratio, ring_mb_s / legacy_mb_s)
-        if best_ratio >= 1.3:
-            break
-    assert best_ratio >= 1.3, (
-        f"ring pipe no longer beats the legacy channel: "
-        f"x{best_ratio:.2f} < 1.3x")
-
-
 def test_ring_throughput_vs_recorded_baseline():
     """Cross-run gate: today's ring MB/s vs the best full-run record."""
     baseline_mb_s = bench_baseline("ipc", "ring_mb_s", best="max")
     if baseline_mb_s is None:
         pytest.skip("no non-smoke baseline in BENCH_ipc.json yet "
                     "(run benchmarks/bench_ipc_pipes.py once)")
-    measured_mb_s = max(
-        _transfer_mb_s(legacy=False) for _ in range(RETRIES))
+    measured_mb_s = max(_transfer_mb_s() for _ in range(RETRIES))
     # 0.4x of the best-ever record: in-process gate transfers are 8x
     # smaller than the bench's and share the suite's scheduler noise.
     assert measured_mb_s >= baseline_mb_s * 0.4, (

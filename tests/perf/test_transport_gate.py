@@ -1,12 +1,9 @@
-"""Perf gates for the vectored frame transport (the ``perf`` marker).
+"""Perf gate for the frame transport (the ``perf`` marker).
 
-* a within-run ratio gate — ``FrameChannel.send_many`` must not be
-  slower than per-frame ``send`` for the same burst (the whole point of
-  gather-writes is to never lose);
-* a cross-run gate — vectored frame throughput must stay within a
-  generous factor of the best non-smoke ``vectored_frames_s`` recorded
-  in ``BENCH_transport.json`` by full benchmark runs.  Skipped until a
-  full run has seeded a baseline.
+A cross-run gate: per-frame ``FrameChannel.send`` throughput must stay
+within a generous factor of the best non-smoke ``sequential_frames_s``
+recorded in ``BENCH_transport.json`` by full benchmark runs.  Skipped
+until a full run has seeded a baseline.
 """
 
 import sys
@@ -31,11 +28,11 @@ FRAME_DATA = b"f" * 100
 RETRIES = 3
 
 
-def _frame_burst(vectored: bool) -> float:
-    """Ship FRAMES binary data frames through a pipe; returns frames/s."""
+def _frame_burst() -> float:
+    """Ship FRAMES data frames through a pipe; returns frames/s."""
     root = ThreadGroup(None, "system")
     reader, writer = make_pipe()
-    channel = FrameChannel(output_stream=writer, binary=True)
+    channel = FrameChannel(output_stream=writer)
     done = []
 
     def consume():
@@ -51,15 +48,9 @@ def _frame_burst(vectored: bool) -> float:
     consumer.start()
     frame = {"t": "o", "d": FRAME_DATA}
     start = time.perf_counter()
-    if vectored:
-        for base in range(0, FRAMES, 64):
-            channel.send_many([frame] * min(64, FRAMES - base),
-                              flush=False)
-        channel.flush()
-    else:
-        for _ in range(FRAMES):
-            channel.send(frame, flush=False)
-        channel.flush()
+    for _ in range(FRAMES):
+        channel.send(frame, flush=False)
+    channel.flush()
     elapsed = time.perf_counter() - start
     channel.close()
     consumer.join(30)
@@ -68,28 +59,15 @@ def _frame_burst(vectored: bool) -> float:
     return FRAMES / elapsed
 
 
-def test_vectored_send_within_ratio():
-    """Within-run gate: send_many >= 0.9x per-frame send (noise floor)."""
-    best_ratio = 0.0
-    for _ in range(RETRIES):
-        sequential = _frame_burst(vectored=False)
-        vectored = _frame_burst(vectored=True)
-        best_ratio = max(best_ratio, vectored / sequential)
-        if best_ratio >= 0.9:
-            break
-    assert best_ratio >= 0.9, (
-        f"vectored frame send lost to sequential send: "
-        f"x{best_ratio:.2f} < 0.9x")
-
-
-def test_vectored_send_vs_recorded_baseline():
+def test_frame_send_vs_recorded_baseline():
     """Cross-run gate: today's frames/s vs the best full-run record."""
-    baseline = bench_baseline("transport", "vectored_frames_s", best="max")
+    baseline = bench_baseline("transport", "sequential_frames_s",
+                              best="max")
     if baseline is None:
         pytest.skip("no non-smoke baseline in BENCH_transport.json yet "
                     "(run benchmarks/bench_sharing_and_dist.py once)")
-    measured = max(_frame_burst(vectored=True) for _ in range(RETRIES))
+    measured = max(_frame_burst() for _ in range(RETRIES))
     # 0.4x of the best-ever record: same rationale as the ipc gate.
     assert measured >= baseline * 0.4, (
-        f"vectored frame throughput collapsed: {measured:.0f} frames/s "
+        f"frame send throughput collapsed: {measured:.0f} frames/s "
         f"vs recorded best {baseline:.0f} frames/s (0.4x gate)")

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.jvm.errors import IllegalStateException, InterruptedException
-from repro.jvm.threads import JThread, ThreadGroup, interruptible_wait
+from repro.jvm.threads import JThread, ThreadGroup
 from repro.sched import Scheduler, WaitPoint, timers
 
 pytestmark = pytest.mark.sched
@@ -132,12 +132,6 @@ class TestLoopThreadGuard:
 
 
 class TestDeprecationShim:
-    def test_interruptible_wait_forwards_with_warning(self):
-        cond = threading.Condition()
-        with pytest.warns(DeprecationWarning, match="interruptible_wait"):
-            with cond:
-                assert interruptible_wait(cond, lambda: True, timeout=1)
-
     def test_poll_interval_consistency(self):
         from repro.jvm.threads import POLL_INTERVAL as thread_poll
         assert timers.POLL_INTERVAL == thread_poll
