@@ -16,6 +16,7 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 from _common import banner, bench_mvm, register_main  # noqa: E402,F401
 
+from repro.core.execspec import ExecSpec  # noqa: E402
 from repro.core.launcher import MultiProcVM  # noqa: E402
 from repro.procsim.model import ProcessCostModel  # noqa: E402
 
@@ -26,7 +27,7 @@ def test_bench_application_launch_and_wait(benchmark, bench_mvm):
 
     with bench_mvm.host_session():
         def launch():
-            app = bench_mvm.exec(class_name)
+            app = bench_mvm.launch(ExecSpec(class_name))
             assert app.wait_for(10) == 0
 
         result = benchmark.pedantic(launch, rounds=30, iterations=1,
@@ -50,7 +51,7 @@ def test_bench_concurrent_application_burst(benchmark, bench_mvm):
 
     with bench_mvm.host_session():
         def burst():
-            apps = [bench_mvm.exec(class_name) for _ in range(10)]
+            apps = [bench_mvm.launch(ExecSpec(class_name)) for _ in range(10)]
             for app in apps:
                 assert app.wait_for(10) == 0
 

@@ -21,6 +21,7 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from _common import banner  # noqa: E402
 
 from repro.cluster import Cluster, NodeRegistry, Scheduler  # noqa: E402
+from repro.core.execspec import ExecSpec, Placement, launch  # noqa: E402
 from repro.core.launcher import MultiProcVM  # noqa: E402
 from repro.net.fabric import NetworkFabric  # noqa: E402
 from repro.telemetry.metrics import MetricsRegistry  # noqa: E402
@@ -89,8 +90,9 @@ def _boot_pool(workers: int):
 
 def _spawn_throughput(cluster, launches: int) -> float:
     start = time.perf_counter()
-    apps = [cluster.exec("tools.True", [], user="alice",
-                         password="wonderland") for _ in range(launches)]
+    spec = ExecSpec("tools.True", user="alice", password="wonderland",
+                    placement=Placement.cluster())
+    apps = [launch(spec, vm=cluster.vm) for _ in range(launches)]
     for app in apps:
         assert app.wait_for(15) == 0
         app.close()

@@ -33,6 +33,7 @@ from repro.awt.events import (  # noqa: E402
     PaintEvent,
 )
 from repro.awt.toolkit import CENTRALIZED, PER_APPLICATION  # noqa: E402
+from repro.core.execspec import ExecSpec  # noqa: E402
 from repro.core.launcher import MultiProcVM  # noqa: E402
 from repro.jvm.threads import JThread, ThreadGroup  # noqa: E402
 
@@ -52,7 +53,7 @@ class GuiProbe:
         self.clicked = threading.Event()
         self.on_click = on_click
         class_name = register_main(mvm.vm, f"Gui{name}", self._main)
-        self.app = mvm.exec(class_name)
+        self.app = mvm.launch(ExecSpec(class_name))
         deadline = time.monotonic() + 5
         self.window_id = None
         while time.monotonic() < deadline and self.window_id is None:

@@ -21,6 +21,7 @@ from _common import (  # noqa: E402,F401
     register_main,
 )
 
+from repro.core.execspec import ExecSpec  # noqa: E402
 from repro.io.streams import (  # noqa: E402
     BufferedInputStream,
     InputStream,
@@ -181,9 +182,9 @@ def test_bench_shell_pipe_end_to_end(benchmark, bench_mvm):
 
         def pipeline():
             sink = ByteArrayOutputStream()
-            app = bench_mvm.exec(
+            app = bench_mvm.launch(ExecSpec(
                 "tools.Shell", ["-c", "cat /tmp/blob.txt | wc -l"],
-                stdout=PrintStream(sink), stderr=PrintStream(sink))
+                stdout=PrintStream(sink), stderr=PrintStream(sink)))
             assert app.wait_for(30) == 0
             assert sink.to_text().strip() == str(BLOB_LINES)
 

@@ -12,6 +12,7 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 from _common import banner, bench_mvm, register_main  # noqa: E402,F401
 
+from repro.core.execspec import ExecSpec  # noqa: E402
 from repro.core.reload import ApplicationClassLoader  # noqa: E402
 
 
@@ -94,7 +95,7 @@ def test_bench_reload_share_of_app_launch(benchmark, bench_mvm):
 
     with bench_mvm.host_session():
         def launch():
-            app = bench_mvm.exec(class_name)
+            app = bench_mvm.launch(ExecSpec(class_name))
             assert app.wait_for(10) == 0
 
         benchmark.pedantic(launch, rounds=20, iterations=1,

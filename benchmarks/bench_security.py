@@ -22,6 +22,7 @@ import pytest  # noqa: E402
 
 from _common import banner, bench_mvm, record_bench  # noqa: E402,F401
 
+from repro.core.execspec import ExecSpec  # noqa: E402
 from repro.core.launcher import DEFAULT_POLICY  # noqa: E402
 from repro.security import access, cache  # noqa: E402
 from repro.security.codesource import CodeSource, ProtectionDomain  # noqa: E402
@@ -337,7 +338,7 @@ def test_bench_end_to_end_checked_file_read(benchmark, bench_mvm):
 
     with bench_mvm.host_session():
         def run_app():
-            app = bench_mvm.exec(class_name, [], user=alice)
+            app = bench_mvm.launch(ExecSpec(class_name, [], user=alice))
             assert app.wait_for(30) == 0
 
         benchmark.pedantic(run_app, rounds=5, iterations=1,

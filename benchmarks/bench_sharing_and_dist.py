@@ -55,7 +55,7 @@ def boot_pair():
         os_context=standard_process(hostname=REMOTE_HOST),
         network=fabric)
     with mvm_b.host_session():
-        mvm_b.exec("dist.RexecDaemon", ["7100"])
+        mvm_b.launch(ExecSpec("dist.RexecDaemon", ["7100"]))
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
         if fabric.resolve(REMOTE_HOST)._listener(7100):
@@ -124,7 +124,7 @@ def test_bench_remote_vs_local_exec(benchmark):
             loops = 30
             start = time.perf_counter()
             for _ in range(loops):
-                app = mvm_a.exec("bench.LocalNoop")
+                app = mvm_a.launch(ExecSpec("bench.LocalNoop"))
                 assert app.wait_for(10) == 0
             local_ms = (time.perf_counter() - start) / loops * 1000
     finally:

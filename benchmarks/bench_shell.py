@@ -11,14 +11,16 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 from _common import banner, bench_mvm  # noqa: E402,F401
 
+from repro.core.execspec import ExecSpec  # noqa: E402
 from repro.io.file import write_text  # noqa: E402
 from repro.io.streams import ByteArrayOutputStream, PrintStream  # noqa: E402
 
 
 def run_lines(mvm, lines, expect=None):
     sink = ByteArrayOutputStream()
-    app = mvm.exec("tools.Shell", ["-c", *lines],
-                   stdout=PrintStream(sink), stderr=PrintStream(sink))
+    app = mvm.launch(
+        ExecSpec("tools.Shell", ["-c", *lines],
+                 stdout=PrintStream(sink), stderr=PrintStream(sink)))
     assert app.wait_for(30) == 0
     if expect is not None:
         assert expect in sink.to_text(), sink.to_text()

@@ -18,6 +18,7 @@ sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
 from _common import banner, bench_mvm, register_main  # noqa: E402,F401
 
+from repro.core.execspec import ExecSpec  # noqa: E402
 from repro.jvm.threads import JThread  # noqa: E402
 from repro.procsim.model import (  # noqa: E402
     ProcessCostModel,
@@ -40,7 +41,8 @@ def test_bench_per_application_memory(benchmark, bench_mvm):
         def measure() -> float:
             tracemalloc.start()
             before, __ = tracemalloc.get_traced_memory()
-            apps = [bench_mvm.exec(class_name) for _ in range(sample)]
+            apps = [bench_mvm.launch(ExecSpec(class_name))
+                    for _ in range(sample)]
             after, __ = tracemalloc.get_traced_memory()
             tracemalloc.stop()
             for app in apps:
@@ -69,7 +71,7 @@ def test_bench_section2_comparison_table(benchmark, bench_mvm):
 
     with bench_mvm.host_session():
         def launch():
-            app = bench_mvm.exec(class_name)
+            app = bench_mvm.launch(ExecSpec(class_name))
             assert app.wait_for(10) == 0
 
         benchmark.pedantic(launch, rounds=20, iterations=1,

@@ -16,7 +16,13 @@ Run with::
     python examples/applet_sandbox.py
 """
 
-from repro import ClassMaterial, CodeSource, MultiProcVM, SecurityException
+from repro import (
+    ClassMaterial,
+    CodeSource,
+    ExecSpec,
+    MultiProcVM,
+    SecurityException,
+)
 from repro.io.file import read_text
 from repro.net.sockets import Socket
 
@@ -83,11 +89,11 @@ def main() -> None:
     with mvm.host_session():
         alice = mvm.vm.user_database.lookup("alice")
         print("Running the Appletviewer as alice ...\n")
-        viewer = mvm.exec(
+        viewer = mvm.launch(ExecSpec(
             "tools.AppletViewer",
             ["--no-wait",
              "http://web.example.com/classes/applets.WeatherApplet"],
-            user=alice, stdout=mvm.vm.out, stderr=mvm.vm.err)
+            user=alice, stdout=mvm.vm.out, stderr=mvm.vm.err))
         viewer.wait_for(10)
 
     print(mvm.vm.out.target.to_text())

@@ -20,7 +20,7 @@ Run with::
 
 import time
 
-from repro import MultiProcVM
+from repro import ExecSpec, MultiProcVM, Placement
 from repro.cluster import Cluster
 from repro.io.streams import ByteArrayOutputStream, PrintStream
 from repro.net.fabric import NetworkFabric
@@ -63,20 +63,23 @@ def main() -> None:
     banner("placement: 12 launches across the pool")
     finished = []
     for i in range(8):
-        app = cluster.exec("tools.Echo", [f"job-{i}"], user="alice",
-                           password="wonderland")
+        app = ctrl.launch(ExecSpec("tools.Echo", [f"job-{i}"], user="alice",
+                                   password="wonderland",
+                                   placement=Placement.cluster()))
         assert app.wait_for(10) == 0
         finished.append(app)
         print(f"job-{i:<2} round-robin   -> {app.node}")
     for i in range(8, 11):
-        app = cluster.exec("tools.Echo", [f"job-{i}"], user="alice",
-                           password="wonderland", policy="least-loaded")
+        app = ctrl.launch(ExecSpec(
+            "tools.Echo", [f"job-{i}"], user="alice", password="wonderland",
+            placement=Placement.cluster(policy="least-loaded")))
         assert app.wait_for(10) == 0
         finished.append(app)
         print(f"job-{i:<2} least-loaded -> {app.node}")
 
-    untrusted = cluster.exec("tools.Echo", ["sandboxed"], user="alice",
-                             password="wonderland", untrusted=True)
+    untrusted = ctrl.launch(ExecSpec(
+        "tools.Echo", ["sandboxed"], user="alice", password="wonderland",
+        placement=Placement.cluster(untrusted=True)))
     assert untrusted.wait_for(10) == 0
     finished.append(untrusted)
     print(f"job-11 untrusted    -> {untrusted.node}  (playground only)")
@@ -90,8 +93,9 @@ def main() -> None:
     banner("failover: kill node-2 while work runs there")
     sleepers = []
     while len([s for s in sleepers if s.node == NODES[1]]) < 2:
-        sleepers.append(cluster.exec("tools.Sleep", ["60"], user="alice",
-                                     password="wonderland"))
+        sleepers.append(ctrl.launch(ExecSpec(
+            "tools.Sleep", ["60"], user="alice", password="wonderland",
+            placement=Placement.cluster())))
     print("sleepers placed on:", [s.node for s in sleepers])
     doomed = [s for s in sleepers if s.node == NODES[1]]
     cluster.shutdown_worker(workers.pop(NODES[1]))

@@ -37,7 +37,7 @@ def main() -> None:
 
     # JVM B: start the rexec daemon.
     with mvm_b.host_session():
-        mvm_b.exec("dist.RexecDaemon", ["7100"])
+        mvm_b.launch(ExecSpec("dist.RexecDaemon", ["7100"]))
     while fabric.resolve(HOST_B)._listener(7100) is None:
         time.sleep(0.01)
 
@@ -45,7 +45,7 @@ def main() -> None:
         # --- 1. rsh from a shell on JVM A --------------------------------
         sink = ByteArrayOutputStream()
         alice = mvm_a.vm.user_database.lookup("alice")
-        shell = mvm_a.exec(
+        shell = mvm_a.launch(ExecSpec(
             "tools.Shell",
             ["-c",
              "setprop rsh.password wonderland",
@@ -54,14 +54,14 @@ def main() -> None:
              f"rsh {HOST_B} whoami",
              f"rsh {HOST_B} hostname",
              f"rsh {HOST_B} cat /etc/motd"],
-            user=alice, stdout=PrintStream(sink), stderr=PrintStream(sink))
+            user=alice, stdout=PrintStream(sink), stderr=PrintStream(sink)))
         shell.wait_for(30)
         print(sink.to_text())
 
         # --- 2. one application, threads in two JVMs ---------------------
         ctx = mvm_a.initial.context()
         distributed = DistributedApplication(
-            local=mvm_a.exec("tools.Sleep", ["30"]))
+            local=mvm_a.launch(ExecSpec("tools.Sleep", ["30"])))
         distributed.add_remote(launch(
             ExecSpec("tools.Sleep", ("30",), user="alice",
                      password="wonderland",

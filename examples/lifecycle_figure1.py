@@ -16,7 +16,13 @@ Run with::
 
 import time
 
-from repro import ClassMaterial, JThread, MultiProcVM, VirtualMachine
+from repro import (
+    ClassMaterial,
+    ExecSpec,
+    JThread,
+    MultiProcVM,
+    VirtualMachine,
+)
 from repro.jvm.errors import ThreadDeath
 from repro.jvm.threads import checkpoint
 
@@ -69,14 +75,14 @@ def part2_multiproc_vm() -> None:
     mvm = MultiProcVM.boot()
     mvm.vm.registry.register(build_demo_material("app"))
     with mvm.host_session():
-        app = mvm.exec("demo.Lifecycleapp", [], stdout=mvm.vm.out)
+        app = mvm.launch(ExecSpec("demo.Lifecycleapp", [], stdout=mvm.vm.out))
         code = app.wait_for(5)
         print(mvm.vm.out.target.to_text())
         print(f"application ended with code {code}; "
               f"VM still running: {not mvm.vm.terminated}")
         # The VM is alive and well: run another application.
-        echo = mvm.exec("tools.Echo", ["the", "vm", "survived"],
-                        stdout=mvm.vm.out)
+        echo = mvm.launch(ExecSpec("tools.Echo", ["the", "vm", "survived"],
+                                   stdout=mvm.vm.out))
         echo.wait_for(5)
     print(mvm.vm.out.target.to_text().splitlines()[-1])
     mvm.shutdown()

@@ -13,7 +13,7 @@ Run with::
 
 import time
 
-from repro import ClassMaterial, CodeSource, MultiProcVM
+from repro import ClassMaterial, CodeSource, ExecSpec, MultiProcVM
 from repro.awt.components import Frame, MenuBar, TextArea
 from repro.core.context import current_application_or_none
 from repro.io.file import read_text, write_text
@@ -69,10 +69,10 @@ def main_example() -> None:
     with mvm.host_session():
         alice = mvm.vm.user_database.lookup("alice")
         bob = mvm.vm.user_database.lookup("bob")
-        editor_alice = mvm.exec("apps.TextEditor", ["alice-editor"],
-                                user=alice, stdout=mvm.vm.out)
-        editor_bob = mvm.exec("apps.TextEditor", ["bob-editor"],
-                              user=bob, stdout=mvm.vm.out)
+        editor_alice = mvm.launch(ExecSpec("apps.TextEditor", ["alice-editor"],
+                                           user=alice, stdout=mvm.vm.out))
+        editor_bob = mvm.launch(ExecSpec("apps.TextEditor", ["bob-editor"],
+                                         user=bob, stdout=mvm.vm.out))
 
         window_alice = wait_for_window(xserver, "alice-editor")
         window_bob = wait_for_window(xserver, "bob-editor")

@@ -11,7 +11,7 @@ Run with::
     python examples/quickstart.py
 """
 
-from repro import MultiProcVM, TerminalDevice
+from repro import ExecSpec, MultiProcVM, TerminalDevice
 
 
 def main() -> None:
@@ -20,7 +20,7 @@ def main() -> None:
     mvm.vm.consoles["console"] = console
 
     with mvm.host_session():
-        terminal_app = mvm.exec("tools.Terminal", ["console"])
+        terminal_app = mvm.launch(ExecSpec("tools.Terminal", ["console"]))
 
         # --- the user sits down and logs in -----------------------------
         console.wait_for_output("login: ")

@@ -10,7 +10,7 @@ Run with::
     python examples/shell_pipeline.py
 """
 
-from repro import MultiProcVM
+from repro import ExecSpec, MultiProcVM
 from repro.io.file import write_text
 from repro.io.streams import ByteArrayOutputStream, PrintStream
 
@@ -39,8 +39,8 @@ def main() -> None:
         sink = ByteArrayOutputStream()
         stream = PrintStream(sink)
         alice = mvm.vm.user_database.lookup("alice")
-        shell = mvm.exec("tools.Shell", ["-c", *SESSION],
-                         user=alice, stdout=stream, stderr=stream)
+        shell = mvm.launch(ExecSpec("tools.Shell", ["-c", *SESSION],
+                                    user=alice, stdout=stream, stderr=stream))
         code = shell.wait_for(30)
         print(sink.to_text())
         print(f"(shell exited with status {code})")

@@ -26,9 +26,8 @@ Quickstart::
 Every launch — local, cluster-scheduled, or remote — goes through one
 door: build an :class:`ExecSpec` (optionally with a non-local
 :class:`Placement`) and hand it to :func:`launch` (or the convenience
-wrappers ``mvm.launch`` / ``ctx.launch``).  ``Application.exec``,
-``MultiProcVM.exec`` and ``Cluster.exec`` remain as deprecated shims over
-the same path.
+wrappers ``mvm.launch`` / ``ctx.launch``).  That is the paper's
+``Application.exec``; there is no other way to start an application.
 
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-claim-vs-measured record.

@@ -68,19 +68,11 @@ class EventDispatchThread:
     time, via the ``_posted_ns`` stamp the dispatchers set) and the
     ``awt.events.dispatched`` counter; with tracing on, each dispatch is
     an ``awt.dispatch`` span.
-
-    ``backing="sched"`` runs the drain loop as a continuation task on the
-    VM's event-loop scheduler instead of a dedicated OS thread: the EDT
-    parks on the queue's wait-point between batches, so 10k idle
-    applications cost 10k parked generator frames, not 10k OS threads.
-    Event-handler code observes the same :class:`JThread` identity and
-    thread group either way (Section 5.4's accountability is preserved).
     """
 
     def __init__(self, queue: EventQueue, group: ThreadGroup, name: str,
                  daemon: bool = False, error_sink=None,
-                 hub=None, app_label: Optional[str] = None,
-                 backing: Optional[str] = None):
+                 hub=None, app_label: Optional[str] = None):
         self.queue = queue
         self._error_sink = error_sink
         self._hub = hub
@@ -88,9 +80,8 @@ class EventDispatchThread:
         #: label -> (latency histogram, dispatched counter); the dispatch
         #: loop must not pay a registry lookup per event.
         self._instruments: dict = {}
-        target = self._task_loop if backing == "sched" else self._loop
-        self.thread = JThread(target=target, name=name, group=group,
-                              daemon=daemon, backing=backing)
+        self.thread = JThread(target=self._loop, name=name, group=group,
+                              daemon=daemon)
 
     def start(self) -> "EventDispatchThread":
         self.thread.start()
@@ -158,22 +149,6 @@ class EventDispatchThread:
         while True:
             batch = self.queue.drain_events()
             if batch is None:
-                return
-            self._dispatch_batch(batch, batched, coalesced)
-
-    def _task_loop(self):
-        """The same drain loop as a continuation (scheduler backing).
-
-        Parks on the queue's wait-point between batches; an empty batch
-        from the untimed drain means the queue closed.  Dispatch itself
-        stays synchronous within the step — handlers run under this
-        EDT's :class:`JThread` identity exactly as on the OS backing.
-        """
-        from repro.sched import ops
-        batched, coalesced = self._batch_counters()
-        while True:
-            batch = yield from ops.drain_events(self.queue)
-            if not batch:
                 return
             self._dispatch_batch(batch, batched, coalesced)
 
@@ -287,9 +262,7 @@ class PerApplicationDispatcher(Dispatcher):
                 # callback must not delay another's clicks) needs
                 # preemptive isolation between applications.  The queue
                 # itself is a scheduler wait-object, so task code can
-                # still consume it via ops.next_event/drain_events, and
-                # EventDispatchThread(backing="sched") remains available
-                # for handlers known not to block.
+                # still consume it via ops.next_event/drain_events.
                 edt = EventDispatchThread(
                     queue, application.thread_group,
                     f"AWT-EventDispatch-{application.name}", daemon=False,

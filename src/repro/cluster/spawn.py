@@ -6,10 +6,11 @@ together: it owns the :class:`~repro.cluster.registry.NodeRegistry` and
 its own VM, and enrols worker VMs (:meth:`Cluster.join` starts the rexec
 daemon and the cluster agent over there).
 
-:meth:`Cluster.exec` is the paper's ``Application.exec`` lifted one level
-up: pick a node per policy, launch through the existing ``dist`` protocol
-(credentials travel with the request and are re-checked by the *target*
-VM's user database — identity never travels, Section 5.2), and return a
+A launch with ``Placement.cluster(...)`` is the paper's
+``Application.exec`` lifted one level up: pick a node per policy, launch
+through the existing ``dist`` protocol (credentials travel with the
+request and are re-checked by the *target* VM's user database —
+identity never travels, Section 5.2), and return a
 :class:`ClusterApplication` that honours the local ``Application``
 lifecycle surface (``wait_for``, ``destroy``, exit code, output relay).
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 import weakref
 from typing import Optional
 
@@ -38,12 +38,8 @@ from repro.cluster.registry import (
 )
 from repro.cluster.retry import retry_call
 from repro.cluster.scheduler import PlacementError, Scheduler
-from repro.core.application import (
-    KILLED_EXIT_CODE,
-    Application,
-    ExitStatus,
-)
-from repro.core.execspec import ExecSpec
+from repro.core.application import KILLED_EXIT_CODE, ExitStatus
+from repro.core.execspec import ExecSpec, launch
 from repro.dist.client import RemoteApplication
 from repro.jvm.errors import (
     IllegalStateException,
@@ -311,7 +307,8 @@ class Cluster:
     The controller VM runs the registry server; each worker VM (booted on
     the *same* :class:`~repro.net.fabric.NetworkFabric`) is enrolled with
     :meth:`join`, which starts the rexec daemon and the heartbeat agent
-    over there.  After that, :meth:`exec` places work anywhere.
+    over there.  After that, a launch with ``Placement.cluster()``
+    places work anywhere.
     """
 
     def __init__(self, mvm, registry_port: int = DEFAULT_REGISTRY_PORT,
@@ -371,7 +368,7 @@ class Cluster:
         """Run the registry server on the controller VM."""
         if self._server_app is not None:
             return self
-        self._server_app = Application._exec_spec(
+        self._server_app = launch(
             ExecSpec(SERVER_CLASS_NAME,
                      (str(self.registry_port), str(sweep_interval))),
             vm=self.vm, parent=self.mvm.initial)
@@ -390,7 +387,7 @@ class Cluster:
             raise IllegalStateException(
                 "start() the cluster before join()ing workers")
         hostname = worker_mvm.vm.machine.hostname
-        daemon = Application._exec_spec(
+        daemon = launch(
             ExecSpec("dist.RexecDaemon", (str(rexec_port),)),
             vm=worker_mvm.vm, parent=worker_mvm.initial)
         self._await_listener(hostname, rexec_port, timeout=timeout)
@@ -399,7 +396,7 @@ class Cluster:
                       "-r", str(rexec_port), "-i", str(interval)]
         if playground:
             agent_args.append("--playground")
-        agent = Application._exec_spec(
+        agent = launch(
             ExecSpec(AGENT_CLASS_NAME, tuple(agent_args)),
             vm=worker_mvm.vm, parent=worker_mvm.initial)
         self._workers.append((worker_mvm, daemon, agent))
@@ -425,33 +422,14 @@ class Cluster:
 
     # -- spawning -------------------------------------------------------------
 
-    def exec(self, class_name: str, args: Optional[list[str]] = None,
-             user: str = "", password: str = "",
-             policy: str = "round-robin", untrusted: bool = False,
-             stdout=None, stderr=None, ctx=None,
-             limits=None) -> ClusterApplication:
-        """Deprecated shim: launch ``class_name`` somewhere in the pool.
-
-        Prefer ``launch(ExecSpec(class_name, args,
-        placement=Placement.cluster(policy, untrusted), ...))``.
-        ``user``/``password`` are re-authenticated by the target VM —
-        credentials travel, identity does not (Section 5.2).
-        ``untrusted=True`` confines the launch to playground nodes.
-        """
-        warnings.warn(
-            "Cluster.exec() is deprecated; use repro.launch(ExecSpec(..., "
-            "placement=Placement.cluster(...)))",
-            DeprecationWarning, stacklevel=2)
-        from repro.core.execspec import Placement
-        spec = ExecSpec(class_name, tuple(args or ()), user=user,
-                        password=password, stdout=stdout, stderr=stderr,
-                        limits=limits,
-                        placement=Placement.cluster(policy=policy,
-                                                    untrusted=untrusted))
-        return self._exec_spec(spec, ctx=ctx)
-
     def _exec_spec(self, spec: ExecSpec, ctx=None) -> ClusterApplication:
-        """The cluster launch choke point ``launch()`` routes through."""
+        """The cluster launch choke point ``launch()`` routes through.
+
+        ``spec.user``/``spec.password`` are re-authenticated by the
+        target VM — credentials travel, identity does not (Section 5.2).
+        ``Placement.cluster(untrusted=True)`` confines the launch to
+        playground nodes.
+        """
         context = ctx if ctx is not None else self.mvm.initial.context()
         placement = spec.placement
         application = ClusterApplication(

@@ -14,14 +14,14 @@
       application-wide state of the parent is inherited by the child."
 
 Implementation notes, mirroring the paper's own description of
-``Application.exec``:
+``Application.exec`` (here ``launch(ExecSpec(...))``):
 
-* ``exec`` creates a fresh thread group (nested under the parent
+* A launch creates a fresh thread group (nested under the parent
   application's group, so the system security manager's ancestry rule lets
   parents manage their children), an
   :class:`~repro.core.reload.ApplicationClassLoader` (Section 5.5), and a
   new ``main`` thread that calls ``MyClass.main(args)`` through the
-  reflection API; ``exec`` returns immediately and ``wait_for`` blocks.
+  reflection API; the launch returns immediately and ``wait_for`` blocks.
 * The standard streams *live in the application's own System class statics*
   — the application layer merely re-points them after the reload, exactly
   as Figure 5 shows.
@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -129,7 +128,15 @@ class ResourceLimitExceeded(IllegalStateException):
 
 
 class Application:
-    """A set of threads with shared application-wide state (Section 5.1)."""
+    """A set of threads with shared application-wide state (Section 5.1).
+
+    The paper's usage — ``Application.exec`` on a class name and its
+    arguments, then ``waitFor`` on the result — reads here::
+
+        from repro import ExecSpec, launch
+        app = launch(ExecSpec("MyClass", args))
+        app.wait_for()
+    """
 
     _ids = itertools.count(1)
 
@@ -250,51 +257,27 @@ class Application:
             registry.register(self)
 
     # ------------------------------------------------------------------
-    # launching (the paper's usage example, Section 5.1)
+    # launching (Section 5.1; reached through launch())
     # ------------------------------------------------------------------
-
-    @classmethod
-    def exec(cls, class_name: str, args: Optional[list[str]] = None,
-             vm=None, parent: Optional["Application"] = None,
-             **state_overrides) -> "Application":
-        """Deprecated shim: build an :class:`ExecSpec` and launch it.
-
-        ``state_overrides`` may override any inheritable state: ``user``,
-        ``stdin``/``stdout``/``stderr``, ``cwd``, ``properties``, ``name``.
-        The paper::
-
-            Application app = Application.exec("MyClass", args);
-            app.waitFor();
-
-        New code should say the same thing through the unified surface::
-
-            from repro import ExecSpec, launch
-            app = launch(ExecSpec("MyClass", args))
-        """
-        warnings.warn(
-            "Application.exec() is deprecated; use "
-            "repro.launch(ExecSpec(...))", DeprecationWarning, stacklevel=2)
-        spec = ExecSpec(class_name, tuple(args or ()), **state_overrides)
-        return cls._exec_spec(spec, vm=vm, parent=parent)
 
     @classmethod
     def _exec_spec(cls, spec: ExecSpec, vm=None,
                    parent: Optional["Application"] = None) -> "Application":
-        """The local launch choke point every surface routes through.
+        """The local launch choke point: ``launch()``'s ``LOCAL`` branch.
 
-        Resolves the launching context exactly as ``exec`` always did,
-        then — in order — offers the ``app.start`` fault point, asks
-        admission control (when the VM runs it) for a slot, constructs
-        the application, and starts its main thread.  The admission
-        ticket rides the application's exit hooks, so the slot frees
-        when the reaper runs.
+        Resolves the launching context (the current application, else
+        the VM's initial one), then — in order — offers the
+        ``app.start`` fault point, asks admission control (when the VM
+        runs it) for a slot, constructs the application, and starts its
+        main thread.  The admission ticket rides the application's exit
+        hooks, so the slot frees when the reaper runs.
         """
         if parent is None:
             parent = current_application_or_none()
         if vm is None:
             if parent is None:
                 raise IllegalArgumentException(
-                    "exec needs a VM when no application is current")
+                    "launch needs a VM when no application is current")
             vm = parent.vm
         if parent is None and vm.application_registry is not None:
             parent = vm.application_registry.initial

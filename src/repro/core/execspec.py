@@ -1,20 +1,13 @@
-"""One launch description, one entry point — the unified exec surface.
-
-The codebase grew four ways to start an application: the paper's
-``Application.exec`` (Section 5.1), the launcher convenience
-``MultiProcVM.exec``, the cluster's ``Cluster.exec``, and the dist
-layer's ``remote_exec``.  Each took a slightly different signature and
-silently dropped what the others accepted (``Cluster.exec`` had no
-``limits``; ``remote_exec`` had no properties; nothing agreed on how to
-name the target user).
+"""One launch description, one verb — the paper's ``Application.exec``.
 
 :class:`ExecSpec` is the one description: *what* to run (class name and
 argv), the Section 5.1 state overrides (user, streams, cwd, properties,
 limits — everything a child may refuse to inherit), and *where* to run
 it (a :class:`Placement` hint).  :func:`launch` is the one verb — it
 routes a spec to the local exec path, the cluster scheduler, or the dist
-client, and the three remaining legacy signatures just build a spec and
-call it.
+client.  ``mvm.launch`` and ``ctx.launch`` bind it to a VM or a running
+application; there is no other way to start an application, so every
+launch honours its placement.
 
 The placement kinds:
 
@@ -35,7 +28,7 @@ placement-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.jvm.errors import IllegalArgumentException, IllegalStateException
@@ -156,19 +149,14 @@ class ExecSpec:
         return f"{self.class_name} {argv}".strip()
 
 
-def spec_fields() -> tuple:
-    """The ExecSpec field names (introspection for shims and tests)."""
-    return tuple(f.name for f in fields(ExecSpec))
-
-
 def launch(spec: ExecSpec, *, vm=None, parent=None, ctx=None):
     """Launch ``spec`` wherever its placement points.
 
-    The one entry point the legacy exec signatures route through.
     ``vm``/``parent`` pin the launching context for local placements
-    (defaulting to the caller's current application, as
-    ``Application.exec`` always did); ``ctx`` is the invocation context
-    used for remote placements (defaulting to the current application's).
+    (defaulting to the caller's current application); ``ctx`` is the
+    invocation context for remote placements (defaulting to the current
+    application's) and cluster ones (defaulting to the controller's
+    initial application).
     """
     placement = spec.placement
     if placement.kind == LOCAL:

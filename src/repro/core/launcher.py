@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import warnings
 from typing import Optional
 
 from repro.awt.toolkit import PER_APPLICATION, Toolkit
@@ -341,7 +340,7 @@ class MultiProcVM:
         """Attach the calling host thread to the initial application.
 
         Inside the block, ``current_application()`` resolves to the initial
-        application, so ``exec`` launches children with inherited state —
+        application, so ``launch`` starts children with inherited state —
         the same situation as the paper's login/shell bootstrap.
         """
         already = JThread.current_or_none()
@@ -368,18 +367,6 @@ class MultiProcVM:
         """
         parent = current_application_or_none() or self.initial
         return launch_spec(spec, vm=self.vm, parent=parent)
-
-    def exec(self, class_name: str, args: Optional[list[str]] = None,
-             **state_overrides) -> Application:
-        """Deprecated shim: launch a child of the initial application.
-
-        Prefer ``mvm.launch(ExecSpec(class_name, args, ...))``.
-        """
-        warnings.warn(
-            "MultiProcVM.exec() is deprecated; use "
-            "mvm.launch(ExecSpec(...))", DeprecationWarning, stacklevel=2)
-        return self.launch(ExecSpec(class_name, tuple(args or ()),
-                                    **state_overrides))
 
     def run(self, class_name: str, args: Optional[list[str]] = None,
             timeout: float = 10.0, **state_overrides) -> Optional[int]:

@@ -146,6 +146,16 @@ class RemoteApplication:
     def _finish(self, code: Optional[int], error: Optional[str],
                 transport: bool = False,
                 error_kind: Optional[str] = None) -> None:
+        # Settle the channel before waking waiters: a caller returning
+        # from wait_for() must find it parked in (or purged from) the
+        # pool, or its next launch dials afresh.
+        if transport:
+            # The node (not the request) failed: drop every idle pooled
+            # channel to it so retries never dial the corpse again.
+            self._pool.invalidate(self.host, self.port)
+            self.close()
+        else:
+            self._park_connection()
         with self._cond:
             self.exit_code = code
             self.error = error
@@ -154,13 +164,6 @@ class RemoteApplication:
             self._finished = True
             self._ended_monotonic = time.monotonic()
             self._cond.notify_all()
-        if transport:
-            # The node (not the request) failed: drop every idle pooled
-            # channel to it so retries never dial the corpse again.
-            self._pool.invalidate(self.host, self.port)
-            self.close()
-        else:
-            self._park_connection()
 
     def _park_connection(self) -> None:
         """After a clean exit, return the connection to the pool."""

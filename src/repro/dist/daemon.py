@@ -26,8 +26,7 @@ the user running it.
 
 from __future__ import annotations
 
-from repro.core.application import Application
-from repro.core.execspec import ExecSpec
+from repro.core.execspec import ExecSpec, launch
 from repro.dist import protocol
 from repro.super.admission import AdmissionRejected
 from repro.io.streams import PrintStream
@@ -86,8 +85,8 @@ def _serve_request(ctx, channel, request):
                     record_policy=record, phase=phase)
     try:
         # The daemon asserts its own setUser grant to launch as `user`.
-        child = access.do_privileged(lambda: Application._exec_spec(
-            spec, vm=ctx.vm, parent=ctx.app))
+        child = access.do_privileged(
+            lambda: launch(spec, vm=ctx.vm, parent=ctx.app))
     except AdmissionRejected as exc:
         # Typed shedding crosses the wire: the requester re-raises it as
         # AdmissionRejected, not a generic RemoteException.

@@ -86,19 +86,12 @@ class InvocationContext:
 
     # -- multi-processing conveniences ---------------------------------------------
 
-    def exec(self, class_name: str, args=None, **kwargs):
-        """Launch a child application (Section 5.1's ``Application.exec``)."""
-        if self.app is None:
-            raise IllegalStateException(
-                "exec requires the multi-processing VM (no current app)")
-        from repro.core.application import Application
-        from repro.core.execspec import ExecSpec
-        return Application._exec_spec(
-            ExecSpec(class_name, tuple(args or ()), **kwargs), vm=self.vm)
-
     def launch(self, spec):
         """Launch an :class:`~repro.core.execspec.ExecSpec` from in-app
-        code — the unified entry point, placement hints included."""
+        code (Section 5.1's ``Application.exec``), placement included."""
+        if self.app is None:
+            raise IllegalStateException(
+                "launch requires the multi-processing VM (no current app)")
         from repro.core.execspec import launch as launch_spec
         return launch_spec(spec, vm=self.vm, ctx=self)
 

@@ -98,13 +98,12 @@ def build_material() -> ClassMaterial:
             # a mid-wait failover relaunches under this tool's connect
             # grant, exactly like the original placement.
             from repro.core.execspec import ExecSpec, Placement
-            application = cluster._exec_spec(
+            application = ctx.launch(
                 ExecSpec(class_name, tuple(command_args), user=user,
                          password=password, stdout=ctx.stdout,
                          stderr=ctx.stderr,
                          placement=Placement.cluster(
-                             policy=policy, untrusted=untrusted)),
-                ctx=ctx)
+                             policy=policy, untrusted=untrusted)))
             try:
                 return application.wait_for(30)
             finally:

@@ -21,6 +21,7 @@ domain is consulted.
 
 from __future__ import annotations
 
+from repro.core.execspec import ExecSpec
 from repro.io.streams import LineReader
 from repro.jvm.classloading import ClassMaterial
 from repro.jvm.errors import AuthenticationException
@@ -73,7 +74,7 @@ def build_material() -> ClassMaterial:
             app = ctx.app
             access.do_privileged(lambda: app.set_user(user))
             _print_motd(jclass, ctx)
-            shell = ctx.exec(shell_class, [])
+            shell = ctx.launch(ExecSpec(shell_class, []))
             shell.wait_for()
             ctx.stdout.println("logged out")
             return 0

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.core.execspec import ExecSpec
 from repro.io.file import FileInputStream, FileOutputStream, JFile
 from repro.io.streams import LineReader, PrintStream, make_pipe
 from repro.jvm.classloading import ClassMaterial
@@ -359,8 +360,8 @@ class Shell:
                 # streams, exec (the child inherits), then restore.
                 self.app.set_streams(stdin=stdin, stdout=stdout)
                 try:
-                    application = self.ctx.exec(class_names[index],
-                                                command.argv[1:])
+                    application = self.ctx.launch(
+                        ExecSpec(class_names[index], command.argv[1:]))
                 finally:
                     self.app.set_streams(stdin=original[0],
                                          stdout=original[1])

@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 from typing import Optional
 
+from repro.core.execspec import ExecSpec
 from repro.io.streams import InputStream, OutputStream, PrintStream
 from repro.jvm.classloading import ClassMaterial
 from repro.sched.timers import wait_until
@@ -260,7 +261,7 @@ def build_material() -> ClassMaterial:
         ctx.system.set_out(terminal.output)
         ctx.system.set_err(terminal.output)
         while not device.closed:
-            child = ctx.exec(child_class, [])
+            child = ctx.launch(ExecSpec(child_class, []))
             child.wait_for()
         return 0
 

@@ -9,6 +9,7 @@ import pytest
 
 from repro.awt.components import Button, Frame
 from repro.awt.toolkit import CENTRALIZED
+from repro.core.execspec import ExecSpec
 from repro.core.launcher import MultiProcVM
 from repro.jvm.threads import JThread
 from repro.tools.terminal import TerminalDevice  # noqa: F401
@@ -63,8 +64,8 @@ def test_single_thread_dispatches_all_applications(mvm_central):
         record_b, main_b = gui_app(None, "b")
         class_a = make_app(mvm_central.vm, "GuiA", main_a)
         class_b = make_app(mvm_central.vm, "GuiB", main_b)
-        app_a = mvm_central.exec(class_a)
-        app_b = mvm_central.exec(class_b)
+        app_a = mvm_central.launch(ExecSpec(class_a))
+        app_b = mvm_central.launch(ExecSpec(class_b))
         xserver = mvm_central.toolkit.xserver
         assert wait_for(lambda: xserver.find_window("win-a") is not None)
         assert wait_for(lambda: xserver.find_window("win-b") is not None)
@@ -86,7 +87,7 @@ def test_feature7_dispatcher_thread_belongs_to_no_application(mvm_central):
     with mvm_central.host_session():
         record_b, main_b = gui_app(None, "b")
         class_b = make_app(mvm_central.vm, "GuiB", main_b)
-        app_b = mvm_central.exec(class_b)
+        app_b = mvm_central.launch(ExecSpec(class_b))
         xserver = mvm_central.toolkit.xserver
         assert wait_for(lambda: xserver.find_window("win-b") is not None)
         xserver.click_component(xserver.find_window("win-b"), "button-b")

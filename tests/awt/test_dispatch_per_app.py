@@ -10,6 +10,7 @@ import time
 
 from repro.awt.components import Button, Frame
 from repro.core.context import current_application_or_none
+from repro.core.execspec import ExecSpec
 from repro.jvm.threads import JThread
 
 
@@ -57,7 +58,7 @@ def gui_app(name, on_click=None, exits_itself=True):
 def test_callback_runs_in_owning_application(host, register_app):
     record, main = gui_app("a")
     class_name = register_app("GuiA", main)
-    app = host.exec(class_name)
+    app = host.launch(ExecSpec(class_name))
     xserver = host.toolkit.xserver
     assert wait_for(lambda: xserver.find_window("win-a") is not None)
     xserver.click_component(xserver.find_window("win-a"), "button-a")
@@ -71,8 +72,8 @@ def test_callback_runs_in_owning_application(host, register_app):
 def test_each_application_has_its_own_dispatcher(host, register_app):
     record_a, main_a = gui_app("a")
     record_b, main_b = gui_app("b")
-    app_a = host.exec(register_app("GuiA", main_a))
-    app_b = host.exec(register_app("GuiB", main_b))
+    app_a = host.launch(ExecSpec(register_app("GuiA", main_a)))
+    app_b = host.launch(ExecSpec(register_app("GuiB", main_b)))
     xserver = host.toolkit.xserver
     assert wait_for(lambda: xserver.find_window("win-a") is not None)
     assert wait_for(lambda: xserver.find_window("win-b") is not None)
@@ -97,8 +98,8 @@ def test_responsiveness_isolation(host, register_app):
 
     record_a, main_a = gui_app("a", on_click=slow_click)
     record_b, main_b = gui_app("b")
-    app_a = host.exec(register_app("SlowGui", main_a))
-    app_b = host.exec(register_app("FastGui", main_b))
+    app_a = host.launch(ExecSpec(register_app("SlowGui", main_a)))
+    app_b = host.launch(ExecSpec(register_app("FastGui", main_b)))
     xserver = host.toolkit.xserver
     assert wait_for(lambda: xserver.find_window("win-a") is not None)
     assert wait_for(lambda: xserver.find_window("win-b") is not None)
@@ -124,7 +125,7 @@ def test_edt_is_non_daemon_so_gui_app_needs_explicit_exit(host,
         frame.show(ctx.vm.toolkit)
         return 0  # main returns, but the EDT keeps the app alive
 
-    app = host.exec(register_app("StickyGui", main))
+    app = host.launch(ExecSpec(register_app("StickyGui", main)))
     xserver = host.toolkit.xserver
     assert wait_for(lambda: xserver.find_window("win-gui") is not None)
     # Posting any event creates the EDT; the window registration already
@@ -145,7 +146,7 @@ def test_window_closed_by_reaper_on_exit(host, register_app):
         JThread.sleep(30.0)
         return 0
 
-    app = host.exec(register_app("Reaped", main))
+    app = host.launch(ExecSpec(register_app("Reaped", main)))
     xserver = host.toolkit.xserver
     assert wait_for(lambda: xserver.find_window("win-reaped") is not None)
     app.destroy()
@@ -162,7 +163,7 @@ def test_application_of_window_recorded_at_show(host, register_app):
         JThread.sleep(30.0)
         return 0
 
-    app = host.exec(register_app("Owner", main))
+    app = host.launch(ExecSpec(register_app("Owner", main)))
     assert wait_for(
         lambda: host.toolkit.window_id_by_title("win-owner") is not None)
     windows = host.toolkit.windows_of(app)

@@ -4,6 +4,7 @@ import threading
 import time
 
 from repro.awt.events import AWTEvent, InvocationEvent
+from repro.core.execspec import ExecSpec
 
 
 def test_invoke_later_without_application_uses_system_queue(mvm):
@@ -29,7 +30,7 @@ def test_events_for_terminated_application_rerouted(host, register_app):
         JThread.sleep(30.0)
         return 0
 
-    app = host.exec(register_app("DyingApp", main))
+    app = host.launch(ExecSpec(register_app("DyingApp", main)))
     app.destroy()
     app.wait_for(5)
     event = InvocationEvent(lambda: None)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.awt.components import Frame
 from repro.awt.toolkit import CENTRALIZED, PER_APPLICATION
+from repro.core.execspec import ExecSpec
 from repro.core.launcher import MultiProcVM
 from repro.jvm.errors import IllegalArgumentException
 from repro.jvm.threads import JThread
@@ -40,7 +41,7 @@ class TestXThreadPlacement:
             with mvm.host_session():
                 class_name = make_app(mvm.vm, "Opener",
                                       window_opener("w-fixed"))
-                app = mvm.exec(class_name)
+                app = mvm.launch(ExecSpec(class_name))
                 assert wait_for(lambda: mvm.toolkit.x_thread_group
                                 is not None)
                 assert mvm.toolkit.x_thread_group is mvm.vm.root_group
@@ -57,7 +58,7 @@ class TestXThreadPlacement:
             with mvm.host_session():
                 class_name = make_app(mvm.vm, "Opener",
                                       window_opener("w-legacy"))
-                app = mvm.exec(class_name)
+                app = mvm.launch(ExecSpec(class_name))
                 assert wait_for(lambda: mvm.toolkit.x_thread_group
                                 is not None)
                 assert mvm.toolkit.x_thread_group is app.thread_group, \
@@ -83,7 +84,7 @@ class TestToolkitPlumbing:
             JThread.sleep(30.0)
             return 0
 
-        app = host.exec(register_app("Invoker", main))
+        app = host.launch(ExecSpec(register_app("Invoker", main)))
         assert wait_for(
             lambda: host.toolkit.window_id_by_title("w-invoke") is not None)
         host.toolkit.invoke_and_wait(
@@ -99,7 +100,7 @@ class TestToolkitPlumbing:
             JThread.sleep(30.0)
             return 0
 
-        app = host.exec(register_app("Thrower", main))
+        app = host.launch(ExecSpec(register_app("Thrower", main)))
         assert wait_for(
             lambda: host.toolkit.window_id_by_title("w-exc") is not None)
 
@@ -118,7 +119,7 @@ class TestToolkitPlumbing:
             JThread.sleep(30.0)
             return 0
 
-        app = host.exec(register_app("Goner", main))
+        app = host.launch(ExecSpec(register_app("Goner", main)))
         xserver = host.toolkit.xserver
         assert wait_for(lambda: xserver.find_window("w-gone") is not None)
         window_id = xserver.find_window("w-gone")
@@ -137,7 +138,7 @@ class TestToolkitPlumbing:
             JThread.sleep(30.0)
             return 0
 
-        app = host.exec(register_app("Multi", main))
+        app = host.launch(ExecSpec(register_app("Multi", main)))
         assert wait_for(lambda: len(host.toolkit.windows_of(app)) == 3)
         app.destroy()
         app.wait_for(5)

@@ -53,9 +53,10 @@ def pool():
 
 class TestClusterExec:
     def test_output_and_exit_code_relay(self, pool):
-        __, ___, cluster = pool
-        app = cluster.exec("tools.Echo", ["over", "there"],
-                           user="alice", password="wonderland")
+        ctrl, __, ___ = pool
+        app = ctrl.launch(ExecSpec("tools.Echo", ["over", "there"],
+                                   user="alice", password="wonderland",
+                                   placement=Placement.cluster()))
         assert app.wait_for(10) == 0
         assert app.output_text() == "over there\n"
         assert app.terminated
@@ -65,17 +66,19 @@ class TestClusterExec:
     def test_credentials_travel_identity_does_not(self, pool):
         """Section 5.2 holds through the scheduler: the *target* VM
         authenticates the travelling credentials."""
-        __, ___, cluster = pool
-        app = cluster.exec("tools.Whoami", [], user="bob",
-                           password="builder")
+        ctrl, __, ___ = pool
+        app = ctrl.launch(ExecSpec("tools.Whoami", user="bob",
+                                   password="builder",
+                                   placement=Placement.cluster()))
         assert app.wait_for(10) == 0
         assert app.output_text().strip() == "bob"
         app.close()
 
     def test_round_robin_spreads_across_nodes(self, pool):
-        __, ___, cluster = pool
-        apps = [cluster.exec("tools.True", [], user="alice",
-                             password="wonderland") for _ in range(6)]
+        ctrl, __, ___ = pool
+        spec = ExecSpec("tools.True", user="alice", password="wonderland",
+                        placement=Placement.cluster())
+        apps = [ctrl.launch(spec) for _ in range(6)]
         for app in apps:
             assert app.wait_for(10) == 0
             app.close()
@@ -84,9 +87,10 @@ class TestClusterExec:
         assert nodes.count(NODE_2) == 3
 
     def test_destroy_is_not_mistaken_for_node_death(self, pool):
-        __, ___, cluster = pool
-        app = cluster.exec("tools.Sleep", ["30"], user="alice",
-                           password="wonderland")
+        ctrl, __, ___ = pool
+        app = ctrl.launch(ExecSpec("tools.Sleep", ["30"], user="alice",
+                                   password="wonderland",
+                                   placement=Placement.cluster()))
         assert app.wait_for(0.5) is None
         app.destroy()
         assert app.wait_for(10) == KILLED_EXIT_CODE
@@ -94,31 +98,34 @@ class TestClusterExec:
         app.close()
 
     def test_untrusted_confined_to_playground(self, pool):
-        __, ___, cluster = pool
+        ctrl, __, ___ = pool
+        spec = ExecSpec("tools.True", user="alice", password="wonderland",
+                        placement=Placement.cluster(untrusted=True))
         nodes = set()
         for _ in range(4):
-            app = cluster.exec("tools.True", [], user="alice",
-                               password="wonderland", untrusted=True)
+            app = ctrl.launch(spec)
             assert app.wait_for(10) == 0
             nodes.add(app.node)
             app.close()
         assert nodes == {NODE_2}
 
     def test_least_loaded_picks_the_idle_node(self, pool):
-        __, ___, cluster = pool
+        ctrl, __, cluster = pool
+        least_loaded = Placement.cluster(policy="least-loaded")
         # Occupy node-1 with sleepers, then wait for its inflated load to
         # arrive by heartbeat.
         registry = cluster.registry
         sleepers = []
         while registry.find(NODE_1).load.get("apps", 0) \
                 <= registry.find(NODE_2).load.get("apps", 0):
-            sleepers.append(cluster.exec(
+            sleepers.append(ctrl.launch(ExecSpec(
                 "tools.Sleep", ["30"], user="alice", password="wonderland",
-                policy="least-loaded"))
+                placement=least_loaded)))
             time.sleep(0.15)
             assert len(sleepers) < 20, "load never diverged"
-        app = cluster.exec("tools.True", [], user="alice",
-                           password="wonderland", policy="least-loaded")
+        app = ctrl.launch(ExecSpec("tools.True", user="alice",
+                                   password="wonderland",
+                                   placement=least_loaded))
         assert app.wait_for(10) == 0
         assert app.node == NODE_2
         app.close()
@@ -132,11 +139,12 @@ class TestFailover:
         """A registry entry the fabric has never heard of: placement tries
         it first (sorted round-robin), gets the typed unavailability
         signal, declares it dead, and lands elsewhere."""
-        __, ___, cluster = pool
+        ctrl, __, cluster = pool
         ghost = "aaa-ghost.example.com"  # sorts before the real nodes
         cluster.registry.register(ghost, port=7999)
-        app = cluster.exec("tools.Echo", ["alive"], user="alice",
-                           password="wonderland")
+        app = ctrl.launch(ExecSpec("tools.Echo", ["alive"], user="alice",
+                                   password="wonderland",
+                                   placement=Placement.cluster()))
         assert app.wait_for(10) == 0
         assert app.node in (NODE_1, NODE_2)
         assert cluster.registry.find(ghost).state == "dead"
@@ -144,9 +152,10 @@ class TestFailover:
         app.close()
 
     def test_node_death_replaces_running_launch(self, pool):
-        __, workers, cluster = pool
-        app = cluster.exec("tools.Sleep", ["30"], user="alice",
-                           password="wonderland")
+        ctrl, workers, cluster = pool
+        app = ctrl.launch(ExecSpec("tools.Sleep", ["30"], user="alice",
+                                   password="wonderland",
+                                   placement=Placement.cluster()))
         assert app.node == NODE_1  # round-robin from a fresh cursor
         result = {}
 
@@ -168,7 +177,7 @@ class TestFailover:
         app.close()
 
     def test_empty_pool_raises_placement_error(self, pool):
-        __, workers, cluster = pool
+        ctrl, workers, cluster = pool
         for name in list(workers):
             cluster.shutdown_worker(workers.pop(name))
         deadline = time.monotonic() + 10
@@ -177,8 +186,9 @@ class TestFailover:
             time.sleep(0.05)
         cluster.placement_attempts = 1  # no point queueing in this test
         with pytest.raises(PlacementError):
-            cluster.exec("tools.True", [], user="alice",
-                         password="wonderland")
+            ctrl.launch(ExecSpec("tools.True", user="alice",
+                                 password="wonderland",
+                                 placement=Placement.cluster()))
 
     def test_queued_launch_waits_for_a_node(self, pool):
         """Placement with a momentarily empty pool retries with backoff —
@@ -195,8 +205,9 @@ class TestFailover:
         result = {}
 
         def launch():
-            app = cluster.exec("tools.Echo", ["queued"], user="alice",
-                               password="wonderland")
+            app = ctrl.launch(ExecSpec("tools.Echo", ["queued"],
+                                       user="alice", password="wonderland",
+                                       placement=Placement.cluster()))
             result["code"] = app.wait_for(10)
             result["node"] = app.node
             app.close()
@@ -252,9 +263,10 @@ class TestIntrospection:
         assert "live" in text
 
     def test_proc_cluster_placements(self, pool):
-        ctrl, __, cluster = pool
-        app = cluster.exec("tools.True", [], user="alice",
-                           password="wonderland")
+        ctrl, __, ___ = pool
+        app = ctrl.launch(ExecSpec("tools.True", user="alice",
+                                   password="wonderland",
+                                   placement=Placement.cluster()))
         assert app.wait_for(10) == 0
         app.close()
         sink = ByteArrayOutputStream()
@@ -302,13 +314,13 @@ class TestIntrospection:
         sink = ByteArrayOutputStream()
         with ctrl.host_session():
             alice = ctrl.vm.user_database.lookup("alice")
-            shell = ctrl.exec(
+            shell = ctrl.launch(ExecSpec(
                 "tools.Shell",
                 ["-c", "setprop rsh.password wonderland",
                  "cluster exec whoami",
                  "cluster exec -p least-loaded echo via the pool"],
                 user=alice, stdout=PrintStream(sink),
-                stderr=PrintStream(sink))
+                stderr=PrintStream(sink)))
             assert shell.wait_for(15) == 0
         text = sink.to_text()
         assert "alice" in text

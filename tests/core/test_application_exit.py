@@ -6,6 +6,7 @@ import time
 import pytest
 
 from repro.core.application import KILLED_EXIT_CODE, Application
+from repro.core.execspec import ExecSpec
 from repro.io.streams import make_pipe
 from repro.jvm.errors import (
     IllegalStateException,
@@ -32,7 +33,7 @@ class TestExplicitExit:
             Application.exit(5)
             after_exit.append("we will never get here")
 
-        app = host.exec(register_app("Exiter", main))
+        app = host.launch(ExecSpec(register_app("Exiter", main)))
         assert app.wait_for(5) == 5
         assert after_exit == []
 
@@ -48,7 +49,7 @@ class TestExplicitExit:
             JThread.sleep(0.05)
             Application.exit(0)
 
-        app = host.exec(register_app("Stopper", main))
+        app = host.launch(ExecSpec(register_app("Stopper", main)))
         assert app.wait_for(5) == 0
         assert survived == []
         assert wait_until(lambda: not app.live_threads())
@@ -60,13 +61,14 @@ class TestExplicitExit:
 
 class TestAutoExit:
     def test_main_return_auto_exits_with_zero(self, host, register_app):
-        app = host.exec(register_app("Plain", lambda j, c, a: None))
+        app = host.launch(
+            ExecSpec(register_app("Plain", lambda j, c, a: None)))
         assert app.wait_for(5) == 0
         assert app.terminated
 
     def test_nonzero_main_return_becomes_exit_code(self, host,
                                                    register_app):
-        app = host.exec(register_app("Failing", lambda j, c, a: 3))
+        app = host.launch(ExecSpec(register_app("Failing", lambda j, c, a: 3)))
         assert app.wait_for(5) == 3
 
     def test_app_lives_while_non_daemon_thread_runs(self, host,
@@ -78,7 +80,7 @@ class TestAutoExit:
             JThread(target=worker, daemon=False).start()
             return 0
 
-        app = host.exec(register_app("Lingering", main))
+        app = host.launch(ExecSpec(register_app("Lingering", main)))
         assert app.wait_for(0.15) is None, \
             "main returned but a non-daemon thread is still alive"
         assert app.wait_for(5) == 0
@@ -92,7 +94,7 @@ class TestAutoExit:
             JThread(target=background, daemon=True).start()
             return 0
 
-        app = host.exec(register_app("DaemonOnly", main))
+        app = host.launch(ExecSpec(register_app("DaemonOnly", main)))
         assert app.wait_for(5) == 0
 
 
@@ -102,7 +104,7 @@ class TestDestroy:
             JThread.sleep(60.0)
             return 0
 
-        app = host.exec(register_app("Victim", main))
+        app = host.launch(ExecSpec(register_app("Victim", main)))
         app.destroy()
         assert app.wait_for(5) == KILLED_EXIT_CODE
 
@@ -116,11 +118,11 @@ class TestDestroy:
         leaf_class = register_app("Leaf", leaf_main)
 
         def mid_main(jclass, ctx, args):
-            grandchild_holder["app"] = ctx.exec(leaf_class, [])
+            grandchild_holder["app"] = ctx.launch(ExecSpec(leaf_class, []))
             JThread.sleep(60.0)
             return 0
 
-        mid = host.exec(register_app("Mid", mid_main))
+        mid = host.launch(ExecSpec(register_app("Mid", mid_main)))
         assert wait_until(lambda: "app" in grandchild_holder)
         leaf = grandchild_holder["app"]
         mid.destroy()
@@ -133,7 +135,7 @@ class TestDestroy:
             JThread.sleep(60.0)
             return 0
 
-        app = host.exec(register_app("Once", main))
+        app = host.launch(ExecSpec(register_app("Once", main)))
         app.destroy(9)
         app.destroy(10)
         assert app.wait_for(5) == 9
@@ -149,7 +151,7 @@ class TestReaperCleanup:
             JThread.sleep(60.0)
             return 0
 
-        app = host.exec(register_app("StreamHolder", main))
+        app = host.launch(ExecSpec(register_app("StreamHolder", main)))
         assert wait_until(lambda: "stream" in opened)
         app.destroy()
         app.wait_for(5)
@@ -163,7 +165,7 @@ class TestReaperCleanup:
             JThread.sleep(60.0)
             return 0
 
-        app = host.exec(register_app("Crowded", main))
+        app = host.launch(ExecSpec(register_app("Crowded", main)))
         assert wait_until(lambda: len(app.live_threads()) >= 4)
         app.destroy()
         app.wait_for(5)
@@ -185,7 +187,7 @@ class TestReaperCleanup:
                 outcome["spawned"] = False
             JThread.sleep(60.0)
 
-        app = host.exec(register_app("Zombie", main))
+        app = host.launch(ExecSpec(register_app("Zombie", main)))
         app.wait_for(5)
         assert outcome == {"spawned": False}
 
@@ -196,14 +198,15 @@ class TestWaitFor:
             JThread.sleep(60.0)
             return 0
 
-        app = host.exec(register_app("Eternal", main))
+        app = host.launch(ExecSpec(register_app("Eternal", main)))
         assert app.wait_for(0.1) is None
         app.destroy()
         assert app.wait_for(5) is not None
 
     def test_wait_for_on_finished_app_returns_immediately(self, host,
                                                           register_app):
-        app = host.exec(register_app("Quick", lambda j, c, a: None))
+        app = host.launch(
+            ExecSpec(register_app("Quick", lambda j, c, a: None)))
         assert app.wait_for(5) == 0
         start = time.monotonic()
         assert app.wait_for(5) == 0

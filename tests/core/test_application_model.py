@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.core.application import Application
 from repro.core.context import (
     current_application,
     current_application_or_none,
 )
+from repro.core.execspec import ExecSpec, launch
 from repro.io.streams import ByteArrayOutputStream, PrintStream
 from repro.jvm.errors import IllegalStateException
 from repro.jvm.threads import JThread
@@ -24,7 +24,7 @@ def test_exec_runs_main_in_new_thread_group(host, register_app):
         return 0
 
     class_name = register_app("Model", main)
-    app = host.exec(class_name, ["a", "b"])
+    app = host.launch(ExecSpec(class_name, ["a", "b"]))
     assert app.wait_for(5) == 0
     assert seen["args"] == ["a", "b"]
     assert seen["group"] is app.thread_group
@@ -39,7 +39,7 @@ def test_exec_returns_immediately(host, register_app):
         return 0
 
     class_name = register_app("SlowStart", main)
-    app = host.exec(class_name)
+    app = host.launch(ExecSpec(class_name))
     assert app.state == "running"  # exec did not wait
     assert app.wait_for(5) == 0
 
@@ -60,7 +60,7 @@ def test_current_application_resolves_from_any_app_thread(host,
         return 0
 
     class_name = register_app("Resolver", main)
-    app = host.exec(class_name)
+    app = host.launch(ExecSpec(class_name))
     assert app.wait_for(5) == 0
     assert resolved == [app, app]
 
@@ -75,8 +75,8 @@ def test_two_instances_of_same_program_are_distinct(host, register_app):
         return 0
 
     class_name = register_app("Twice", main)
-    app_a = host.exec(class_name)
-    app_b = host.exec(class_name)
+    app_a = host.launch(ExecSpec(class_name))
+    app_b = host.launch(ExecSpec(class_name))
     assert app_a.wait_for(5) == 0
     assert app_b.wait_for(5) == 0
     assert set(instances) == {app_a, app_b}
@@ -102,14 +102,15 @@ class TestStateInheritance:
         def parent_main(jclass, ctx, args):
             ctx.app.set_cwd("/tmp")
             ctx.app.properties.set_property("color", "blue")
-            child = ctx.exec(child_class, [])
+            child = ctx.launch(ExecSpec(child_class, []))
             child.wait_for(5)
             return 0
 
         parent_class = register_app("ParentApp", parent_main)
         alice = host.vm.user_database.lookup("alice")
         out = PrintStream(ByteArrayOutputStream())
-        parent = host.exec(parent_class, [], user=alice, stdout=out)
+        parent = host.launch(
+            ExecSpec(parent_class, [], user=alice, stdout=out))
         assert parent.wait_for(5) == 0
         assert child_view["user"] == "alice"
         assert child_view["cwd"] == "/tmp"
@@ -128,14 +129,14 @@ class TestStateInheritance:
 
         def parent_main(jclass, ctx, args):
             ctx.app.properties.set_property("color", "red")
-            child = ctx.exec(child_class, [])
+            child = ctx.launch(ExecSpec(child_class, []))
             child.wait_for(5)
             observed["parent_mine"] = \
                 ctx.app.properties.get_property("mine")
             return 0
 
         parent_class = register_app("SnapParent", parent_main)
-        parent = host.exec(parent_class)
+        parent = host.launch(ExecSpec(parent_class))
         assert parent.wait_for(5) == 0
         assert observed["color"] == "red"
         assert observed["parent_mine"] is None
@@ -151,8 +152,8 @@ class TestStateInheritance:
         class_name = register_app("Overridden", main)
         bob = host.vm.user_database.lookup("bob")
         props = Properties()
-        app = host.exec(class_name, [], user=bob, cwd="/etc",
-                        properties=props)
+        app = host.launch(ExecSpec(class_name, [], user=bob, cwd="/etc",
+                                   properties=props))
         assert app.wait_for(5) == 0
         assert seen["user"] == "bob"
         assert seen["cwd"] == "/etc"
@@ -165,7 +166,7 @@ class TestRegistry:
             return 0
 
         class_name = register_app("Listed", main)
-        app = host.exec(class_name)
+        app = host.launch(ExecSpec(class_name))
         table = host.vm.application_registry.applications(check=False)
         assert app in table
         assert host.initial in table
@@ -179,7 +180,7 @@ class TestRegistry:
             JThread.sleep(10.0)
             return 0
 
-        app = host.exec(register_app("Findable", main))
+        app = host.launch(ExecSpec(register_app("Findable", main)))
         registry = host.vm.application_registry
         assert registry.find(app.app_id) is app
         assert registry.find(99999) is None
@@ -196,4 +197,4 @@ def test_host_thread_outside_sessions_has_no_application(mvm):
 def test_exec_without_vm_or_parent_fails():
     from repro.jvm.errors import IllegalArgumentException
     with pytest.raises(IllegalArgumentException):
-        Application.exec("any.Class")
+        launch(ExecSpec("any.Class"))

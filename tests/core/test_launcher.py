@@ -3,6 +3,7 @@ semantics (Features 1, 8, 9)."""
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.core.launcher import DEFAULT_POLICY, MultiProcVM
 from repro.io.streams import ByteArrayOutputStream, PrintStream, make_pipe
 from repro.jvm.errors import SecurityException
@@ -34,11 +35,13 @@ class TestBootWiring:
 
     def test_vm_survives_application_exit(self, host, register_app):
         """Feature 1: the end of an application must not end the JVM."""
-        app = host.exec(register_app("Short", lambda j, c, a: None))
+        app = host.launch(
+            ExecSpec(register_app("Short", lambda j, c, a: None)))
         assert app.wait_for(5) == 0
         assert not host.vm.terminated
         # and we can still launch more work
-        again = host.exec(register_app("Short2", lambda j, c, a: None))
+        again = host.launch(
+            ExecSpec(register_app("Short2", lambda j, c, a: None)))
         assert again.wait_for(5) == 0
 
     def test_shutdown_is_idempotent(self):
@@ -76,7 +79,7 @@ class TestStreamCloseRule:
 
         out = PrintStream(ByteArrayOutputStream())
         out.owner = host.initial
-        app = host.exec(register_app("Closer", main), stdout=out)
+        app = host.launch(ExecSpec(register_app("Closer", main), stdout=out))
         assert app.wait_for(5) == 0
         assert outcome["result"] == "denied"
         assert not out.closed
@@ -91,7 +94,7 @@ class TestStreamCloseRule:
             outcome["closed"] = stream.closed
             return 0
 
-        app = host.exec(register_app("OwnCloser", main))
+        app = host.launch(ExecSpec(register_app("OwnCloser", main)))
         assert app.wait_for(5) == 0
         assert outcome["closed"] is True
 
@@ -107,14 +110,15 @@ class TestStreamCloseRule:
 
         def parent_main(jclass, ctx, args):
             reader, writer = make_pipe(owner=ctx.app)
-            child = ctx.exec(child_class, [], stdout=PrintStream(writer))
+            child = ctx.launch(
+                ExecSpec(child_class, [], stdout=PrintStream(writer)))
             child.wait_for(5)
             writer.close()
             reader.close()
             outcome["closed"] = writer.closed and reader.closed
             return 0
 
-        parent = host.exec(register_app("PipeParent", parent_main))
+        parent = host.launch(ExecSpec(register_app("PipeParent", parent_main)))
         assert parent.wait_for(5) == 0
         assert outcome["closed"] is True
 
@@ -127,7 +131,7 @@ class TestStreamCloseRule:
             outcome["closed"] = scratch.closed
             return 0
 
-        app = host.exec(register_app("Anon", main))
+        app = host.launch(ExecSpec(register_app("Anon", main)))
         assert app.wait_for(5) == 0
         assert outcome["closed"] is True
 
@@ -150,7 +154,7 @@ class TestSystemExitSemantics:
                 outcome["result"] = "denied"
             return 0
 
-        app = host.exec(register_app("VmKiller", main))
+        app = host.launch(ExecSpec(register_app("VmKiller", main)))
         assert app.wait_for(5) == 0
         assert outcome["result"] == "denied"
         assert not host.vm.terminated
@@ -167,7 +171,8 @@ class TestSystemExitSemantics:
                 return 0
 
             with mvm.host_session():
-                app = mvm.exec(make_app(mvm.vm, "SelfExiter", main))
+                app = mvm.launch(
+                    ExecSpec(make_app(mvm.vm, "SelfExiter", main)))
                 assert app.wait_for(5) == 4
                 assert not mvm.vm.terminated
         finally:

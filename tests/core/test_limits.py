@@ -6,6 +6,7 @@ import pytest
 
 from repro.awt.components import Frame
 from repro.core.application import ResourceLimitExceeded, ResourceLimits
+from repro.core.execspec import ExecSpec
 from repro.jvm.threads import JThread
 
 
@@ -36,8 +37,8 @@ class TestThreadLimit:
             return 0
 
         class_name = register_app("ThreadHog", main)
-        app = host.exec(class_name, [],
-                        limits=ResourceLimits(max_threads=4))
+        app = host.launch(ExecSpec(class_name, [],
+                                   limits=ResourceLimits(max_threads=4)))
         assert app.wait_for(10) == 0
         # main thread counts too: 4 total means 3 extra workers.
         assert outcome["spawned"] == 3
@@ -52,7 +53,7 @@ class TestThreadLimit:
                 worker.start()
             return 0
 
-        app = host.exec(register_app("ManyThreads", main))
+        app = host.launch(ExecSpec(register_app("ManyThreads", main)))
         assert app.wait_for(10) == 0
 
     def test_limits_inherited_by_children(self, host, register_app):
@@ -65,13 +66,13 @@ class TestThreadLimit:
         child_class = register_app("LimitChild", child_main)
 
         def parent_main(jclass, ctx, args):
-            child = ctx.exec(child_class, [])
+            child = ctx.launch(ExecSpec(child_class, []))
             child.wait_for(5)
             return 0
 
         parent_class = register_app("LimitParent", parent_main)
-        app = host.exec(parent_class, [],
-                        limits=ResourceLimits(max_threads=7))
+        app = host.launch(ExecSpec(parent_class, [],
+                                   limits=ResourceLimits(max_threads=7)))
         assert app.wait_for(10) == 0
         assert outcome["limit"] == 7
 
@@ -90,7 +91,7 @@ class TestChildAndStreamLimits:
             launched = 0
             try:
                 for _ in range(10):
-                    ctx.exec(leaf, [])
+                    ctx.launch(ExecSpec(leaf, []))
                     launched += 1
             except ResourceLimitExceeded:
                 pass
@@ -98,8 +99,8 @@ class TestChildAndStreamLimits:
             JThread.sleep(30.0)
             return 0
 
-        app = host.exec(register_app("Forker", main), [],
-                        limits=ResourceLimits(max_children=3))
+        app = host.launch(ExecSpec(register_app("Forker", main), [],
+                                   limits=ResourceLimits(max_children=3)))
         assert wait_until(lambda: "launched" in outcome)
         assert outcome["launched"] == 3
         app.destroy()  # cascades to the parked children
@@ -112,15 +113,15 @@ class TestChildAndStreamLimits:
 
         def main(jclass, ctx, args):
             for _ in range(6):  # sequential: each exits before the next
-                child = ctx.exec(leaf, [])
+                child = ctx.launch(ExecSpec(leaf, []))
                 child.wait_for(5)
                 while child in ctx.app.children:
                     JThread.sleep(0.005)
             outcome["ok"] = True
             return 0
 
-        app = host.exec(register_app("SerialForker", main), [],
-                        limits=ResourceLimits(max_children=1))
+        app = host.launch(ExecSpec(register_app("SerialForker", main), [],
+                                   limits=ResourceLimits(max_children=1)))
         assert app.wait_for(15) == 0
         assert outcome.get("ok") is True
 
@@ -141,8 +142,8 @@ class TestChildAndStreamLimits:
             outcome["opened"] = opened
             return 0
 
-        app = host.exec(register_app("StreamHog2", main), [],
-                        limits=ResourceLimits(max_open_streams=2))
+        app = host.launch(ExecSpec(register_app("StreamHog2", main), [],
+                                   limits=ResourceLimits(max_open_streams=2)))
         assert app.wait_for(10) == 0
         assert outcome["opened"] == 2
 
@@ -157,8 +158,8 @@ class TestChildAndStreamLimits:
             outcome["ok"] = True
             return 0
 
-        app = host.exec(register_app("StreamCycler", main), [],
-                        limits=ResourceLimits(max_open_streams=1))
+        app = host.launch(ExecSpec(register_app("StreamCycler", main), [],
+                                   limits=ResourceLimits(max_open_streams=1)))
         assert app.wait_for(10) == 0
         assert outcome.get("ok") is True
 
@@ -179,8 +180,8 @@ class TestWindowLimit:
             outcome["shown"] = shown
             return 0
 
-        app = host.exec(register_app("WindowHog", main), [],
-                        limits=ResourceLimits(max_windows=2))
+        app = host.launch(ExecSpec(register_app("WindowHog", main), [],
+                                   limits=ResourceLimits(max_windows=2)))
         assert wait_until(lambda: "shown" in outcome)
         assert outcome["shown"] == 2
         app.destroy()
@@ -204,7 +205,7 @@ class TestExitHooks:
             JThread.sleep(30.0)
             return 0
 
-        app = host.exec(register_app("Hooked", main))
+        app = host.launch(ExecSpec(register_app("Hooked", main)))
         assert wait_until(lambda: len(app.live_threads()) >= 2)
         app.destroy()
         app.wait_for(5)
@@ -218,7 +219,7 @@ class TestExitHooks:
             JThread.sleep(30.0)
             return 0
 
-        app = host.exec(register_app("BadHook", main))
+        app = host.launch(ExecSpec(register_app("BadHook", main)))
         app.destroy()
         assert app.wait_for(5) is not None
         assert app.terminated
@@ -230,6 +231,6 @@ class TestExitHooks:
             ctx.app.add_exit_hook(lambda: hits.append("ran"))
             return 0
 
-        app = host.exec(register_app("NaturalHook", main))
+        app = host.launch(ExecSpec(register_app("NaturalHook", main)))
         assert app.wait_for(10) == 0
         assert wait_until(lambda: hits == ["ran"])

@@ -1,6 +1,7 @@
 """Smaller public-API surfaces: MultiProcVM.run, Application.context,
 interactive shell prompts, finalizer drain timeout."""
 
+from repro.core.execspec import ExecSpec
 from repro.io.streams import ByteArrayOutputStream, PrintStream
 from repro.tools.terminal import Terminal, TerminalDevice
 
@@ -17,7 +18,7 @@ def test_application_context_reaches_app_state(host, register_app):
         JThread.sleep(30.0)
         return 0
 
-    app = host.exec(register_app("CtxApp", main), cwd="/tmp")
+    app = host.launch(ExecSpec(register_app("CtxApp", main), cwd="/tmp"))
     ctx = app.context()
     assert ctx.app is app
     assert ctx.cwd == "/tmp"
@@ -30,9 +31,9 @@ def test_interactive_shell_prompt_and_history(host):
     device = TerminalDevice("misc-tty")
     terminal = Terminal(device)
     alice = host.vm.user_database.lookup("alice")
-    shell = host.exec("tools.Shell", [], user=alice,
-                      stdin=terminal.input, stdout=terminal.output,
-                      stderr=terminal.output)
+    shell = host.launch(ExecSpec("tools.Shell", [], user=alice,
+                                 stdin=terminal.input, stdout=terminal.output,
+                                 stderr=terminal.output))
     assert device.wait_for_output("alice@javaos:/$ ")
     device.type_line("echo one")
     assert device.wait_for_output("one\n")
@@ -48,9 +49,9 @@ def test_interactive_shell_prompt_and_history(host):
 def test_shell_reports_java_throwable_without_dying(host):
     device = TerminalDevice("misc-tty2")
     terminal = Terminal(device)
-    shell = host.exec("tools.Shell", [],
-                      stdin=terminal.input, stdout=terminal.output,
-                      stderr=terminal.output)
+    shell = host.launch(ExecSpec("tools.Shell", [],
+                                 stdin=terminal.input, stdout=terminal.output,
+                                 stderr=terminal.output))
     assert device.wait_for_output("$ ")
     device.type_line("cat /etc/shadow")  # FileNotFound inside the tool
     assert device.wait_for_output("FileNotFoundException")
@@ -91,6 +92,6 @@ def test_capture_streams_compose(host, register_app):
         ctx.stdout.flush()
         return 0
 
-    app = host.exec(register_app("Buffered", main), stdout=stream)
+    app = host.launch(ExecSpec(register_app("Buffered", main), stdout=stream))
     assert app.wait_for(10) == 0
     assert sink.to_text() == "buffered"

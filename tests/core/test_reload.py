@@ -3,6 +3,7 @@ Figure 5) — own streams, shared properties."""
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.core.reload import RELOADABLE_CLASSES, ApplicationClassLoader
 from repro.io.streams import ByteArrayOutputStream, PrintStream
 from repro.jvm.threads import JThread
@@ -13,7 +14,7 @@ def parked_app(host, register_app, name):
         JThread.sleep(60.0)
         return 0
 
-    return host.exec(register_app(name, main))
+    return host.launch(ExecSpec(register_app(name, main)))
 
 
 class TestSystemReloading:
@@ -47,8 +48,10 @@ class TestSystemReloading:
 
         class_name = register_app("StreamApp", main_writer)
         out_a, out_b = ByteArrayOutputStream(), ByteArrayOutputStream()
-        app_a = host.exec(class_name, ["a"], stdout=PrintStream(out_a))
-        app_b = host.exec(class_name, ["b"], stdout=PrintStream(out_b))
+        app_a = host.launch(
+            ExecSpec(class_name, ["a"], stdout=PrintStream(out_a)))
+        app_b = host.launch(
+            ExecSpec(class_name, ["b"], stdout=PrintStream(out_b)))
         assert app_a.wait_for(5) == 0
         assert app_b.wait_for(5) == 0
         assert out_a.to_text() == "from a\n"
@@ -69,10 +72,10 @@ class TestSystemReloading:
             read_back["value"] = ctx.system.get_property("experiment.flag")
             return 0
 
-        app_a = host.exec(register_app("PropSetter", setter,
-                                       code_source=None))
+        app_a = host.launch(ExecSpec(register_app("PropSetter", setter,
+                                                  code_source=None)))
         assert app_a.wait_for(5) == 0
-        app_b = host.exec(register_app("PropGetter", getter))
+        app_b = host.launch(ExecSpec(register_app("PropGetter", getter)))
         assert app_b.wait_for(5) == 0
         assert read_back["value"] == "set-by-a"
 
@@ -103,8 +106,8 @@ class TestSystemReloading:
             return 0
 
         class_name = register_app("SmApp", main)
-        app_a = host.exec(class_name, ["a"])
-        app_b = host.exec(class_name, ["b"])
+        app_a = host.launch(ExecSpec(class_name, ["a"]))
+        app_b = host.launch(ExecSpec(class_name, ["b"]))
         assert app_a.wait_for(5) == 0
         assert app_b.wait_for(5) == 0
         assert app_a.system_class.statics["security_manager"] == "sm-of-a"

@@ -3,6 +3,7 @@ name-space type-safety guard."""
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.jvm.classloading import ClassMaterial, JObject
 from repro.jvm.errors import (
     ClassCastException,
@@ -25,7 +26,7 @@ def message_class(mvm):
 
 
 def app_run(mvm, register_app, name, main, **kwargs):
-    app = mvm.exec(register_app(name, main), **kwargs)
+    app = mvm.launch(ExecSpec(register_app(name, main), **kwargs))
     assert app.wait_for(10) == 0
     return app
 
@@ -175,7 +176,7 @@ class TestOwnershipAndSecurity:
             return 0
 
         producer_class = register_app("BindHolder", producer)
-        holder = host.exec(producer_class)
+        holder = host.launch(ExecSpec(producer_class))
         import time
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline:
@@ -217,6 +218,6 @@ class TestOwnershipAndSecurity:
             "RemoteBinder", main,
             code_source="http://remote.example.com/Binder.class")
         app_run(host, register_app, "unused", lambda j, c, a: 0)
-        app = host.exec(class_name)
+        app = host.launch(ExecSpec(class_name))
         assert app.wait_for(10) == 0
         assert outcome["result"] == "denied"

@@ -3,6 +3,7 @@ privilege."""
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.core.usermodel import become_user, become_user_privileged
 from repro.jvm.errors import SecurityException
 from repro.security.auth import NULL_USER
@@ -23,13 +24,13 @@ def test_child_inherits_running_user(host, register_app):
     child_class = register_app("UserChild", child_main)
 
     def parent_main(jclass, ctx, args):
-        child = ctx.exec(child_class, [])
+        child = ctx.launch(ExecSpec(child_class, []))
         child.wait_for(5)
         return 0
 
     parent_class = register_app("UserParent", parent_main)
     alice = host.vm.user_database.lookup("alice")
-    parent = host.exec(parent_class, [], user=alice)
+    parent = host.launch(ExecSpec(parent_class, [], user=alice))
     assert parent.wait_for(5) == 0
     assert seen["user"] == "alice"
 
@@ -48,7 +49,7 @@ def test_ordinary_application_cannot_set_user(host, register_app):
             outcome["result"] = "denied"
         return 0
 
-    app = host.exec(register_app("Impostor", main))
+    app = host.launch(ExecSpec(register_app("Impostor", main)))
     assert app.wait_for(5) == 0
     assert outcome["result"] == "denied"
 
@@ -67,7 +68,7 @@ def test_do_privileged_does_not_help_unprivileged_code(host, register_app):
             outcome["result"] = "denied"
         return 0
 
-    app = host.exec(register_app("SneakyImpostor", main))
+    app = host.launch(ExecSpec(register_app("SneakyImpostor", main)))
     assert app.wait_for(5) == 0
     assert outcome["result"] == "denied"
 
@@ -89,7 +90,7 @@ def test_login_code_source_may_set_user(host, register_app):
     class_name = register_app(
         "FakeLogin", main,
         code_source="file:/usr/local/java/tools/login/FakeLogin.class")
-    app = host.exec(class_name)
+    app = host.launch(ExecSpec(class_name))
     assert app.wait_for(5) == 0
     assert outcome["user"] == "alice"
     # The privilege belongs to the *program*: it worked even though the
@@ -104,7 +105,7 @@ def test_host_code_may_set_user_directly(host, register_app):
         JThread.sleep(30.0)
         return 0
 
-    app = host.exec(register_app("Administered", main))
+    app = host.launch(ExecSpec(register_app("Administered", main)))
     bob = host.vm.user_database.lookup("bob")
     app.set_user(bob)  # called from the host session: trusted
     assert app.user.name == "bob"

@@ -38,7 +38,7 @@ def cluster():
     mvm_b = MultiProcVM.boot(
         os_context=standard_process(hostname=HOST_B), network=fabric)
     with mvm_b.host_session():
-        daemon = mvm_b.exec("dist.RexecDaemon", [str(PORT)])
+        daemon = mvm_b.launch(ExecSpec("dist.RexecDaemon", [str(PORT)]))
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
         if fabric.resolve(HOST_B)._listener(PORT) is not None:
@@ -122,7 +122,7 @@ class TestDistributedApplication:
         mvm_a, mvm_b, __ = cluster
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            local = mvm_a.exec("tools.Sleep", ["30"])
+            local = mvm_a.launch(ExecSpec("tools.Sleep", ["30"]))
             distributed = DistributedApplication(local=local)
             distributed.add_remote(rexec(ctx, "tools.Sleep", ["30"]))
             assert not distributed.terminated
@@ -137,7 +137,7 @@ class TestDistributedApplication:
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
             distributed = DistributedApplication(
-                local=mvm_a.exec("tools.True", []))
+                local=mvm_a.launch(ExecSpec("tools.True", [])))
             distributed.add_remote(rexec(ctx, "tools.False", []))
             codes = distributed.wait_all(10)
         assert codes == [0, 1]
@@ -149,13 +149,13 @@ class TestRshTool:
         with mvm_a.host_session():
             sink = ByteArrayOutputStream()
             alice = mvm_a.vm.user_database.lookup("alice")
-            shell = mvm_a.exec(
+            shell = mvm_a.launch(ExecSpec(
                 "tools.Shell",
                 ["-c", "setprop rsh.password wonderland",
                  f"rsh {HOST_B} whoami",
                  f"rsh {HOST_B} echo remote says hi"],
                 user=alice,
-                stdout=PrintStream(sink), stderr=PrintStream(sink))
+                stdout=PrintStream(sink), stderr=PrintStream(sink)))
             assert shell.wait_for(15) == 0
         text = sink.to_text()
         assert "alice" in text
@@ -166,12 +166,12 @@ class TestRshTool:
         with mvm_a.host_session():
             sink = ByteArrayOutputStream()
             alice = mvm_a.vm.user_database.lookup("alice")
-            shell = mvm_a.exec(
+            shell = mvm_a.launch(ExecSpec(
                 "tools.Shell",
                 ["-c", "setprop rsh.password nope",
                  f"rsh {HOST_B} whoami", "echo rc=$?"],
                 user=alice,
-                stdout=PrintStream(sink), stderr=PrintStream(sink))
+                stdout=PrintStream(sink), stderr=PrintStream(sink)))
             assert shell.wait_for(15) == 0
         assert "rsh:" in sink.to_text()
         assert "rc=1" in sink.to_text()
@@ -180,9 +180,10 @@ class TestRshTool:
         mvm_a, __, ___ = cluster
         with mvm_a.host_session():
             sink = ByteArrayOutputStream()
-            shell = mvm_a.exec("tools.Shell", ["-c", "rsh onlyhost"],
-                               stdout=PrintStream(sink),
-                               stderr=PrintStream(sink))
+            shell = mvm_a.launch(
+                ExecSpec("tools.Shell", ["-c", "rsh onlyhost"],
+                         stdout=PrintStream(sink),
+                         stderr=PrintStream(sink)))
             # sh -c reports the last command's status: rsh's usage error.
             assert shell.wait_for(15) == 2
         assert "usage:" in sink.to_text()

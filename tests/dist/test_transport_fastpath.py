@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.execspec import ExecSpec, Placement, launch
 from repro.core.launcher import MultiProcVM
-from repro.dist.pool import pool_for
+from repro.dist.pool import ChannelPool, pool_for
 from repro.dist.protocol import TAG_JSON, encode_frame, read_frame
 from repro.io.streams import BufferedInputStream
 from repro.jvm.errors import RemoteException, SecurityException
@@ -47,7 +47,7 @@ def pair():
     mvm_b = MultiProcVM.boot(
         os_context=standard_process(hostname=HOST_B), network=fabric)
     with mvm_b.host_session():
-        mvm_b.exec("dist.RexecDaemon", [str(PORT)])
+        mvm_b.launch(ExecSpec("dist.RexecDaemon", [str(PORT)]))
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline:
         if fabric.resolve(HOST_B)._listener(PORT) is not None:
@@ -59,16 +59,6 @@ def pair():
     mvm_b.shutdown()
 
 
-def wait_for_idle(pool, count, timeout=5.0):
-    """Parking happens on the reader thread; give it a moment."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if pool.stats()["idle"] == count:
-            return
-        time.sleep(0.01)
-    assert pool.stats()["idle"] == count
-
-
 class TestConnectionPool:
     def test_clean_exit_parks_the_connection(self, pair):
         mvm_a, __, ___ = pair
@@ -77,8 +67,25 @@ class TestConnectionPool:
             remote = rexec(ctx, "tools.Echo", ["one"])
             assert remote.wait_for(10) == 0
             pool = pool_for(mvm_a.vm)
-            wait_for_idle(pool, 1)
+            assert pool.stats()["idle"] == 1
             assert pool.idle_counts() == {f"{HOST_B}:{PORT}": 1}
+
+    def test_wait_for_returns_after_the_channel_is_parked(self, pair,
+                                                          monkeypatch):
+        """A slow park must not let ``wait_for`` return early: the
+        channel is idle in the pool by the time the waiter wakes."""
+        release = ChannelPool.release
+
+        def slow_release(pool, pooled):
+            time.sleep(0.1)
+            release(pool, pooled)
+
+        monkeypatch.setattr(ChannelPool, "release", slow_release)
+        mvm_a, __, ___ = pair
+        with mvm_a.host_session():
+            remote = rexec(mvm_a.initial.context(), "tools.Echo", ["one"])
+            assert remote.wait_for(5) == 0
+            assert pool_for(mvm_a.vm).stats()["idle"] == 1
 
     def test_second_exec_is_a_pool_hit(self, pair):
         mvm_a, __, ___ = pair
@@ -87,7 +94,7 @@ class TestConnectionPool:
             pool = pool_for(mvm_a.vm)
             first = rexec(ctx, "tools.Echo", ["one"])
             assert first.wait_for(10) == 0
-            wait_for_idle(pool, 1)
+            assert pool.stats()["idle"] == 1
             hits_before = pool.stats()["hits"]
             second = rexec(ctx, "tools.Echo", ["two"])
             assert second.wait_for(10) == 0
@@ -101,7 +108,7 @@ class TestConnectionPool:
             warm = rexec(ctx, "tools.Echo", ["warm"])
             assert warm.wait_for(10) == 0
             pool = pool_for(mvm_a.vm)
-            wait_for_idle(pool, 1)
+            assert pool.stats()["idle"] == 1
             victim = rexec(ctx, "tools.Sleep", ["30"])
             assert victim.wait_for(0.3) is None  # running over there
             # Sever the victim's transport abruptly — the network died,
@@ -124,7 +131,7 @@ class TestConnectionPool:
             warm = rexec(ctx, "tools.Echo", ["warm"])
             assert warm.wait_for(10) == 0
             pool = pool_for(mvm_a.vm)
-            wait_for_idle(pool, 1)
+            assert pool.stats()["idle"] == 1
             outcome = {}
 
             def main(jclass, app_ctx, args):
@@ -135,7 +142,7 @@ class TestConnectionPool:
                     outcome["result"] = "denied"
                 return 0
 
-            app = mvm_a.exec(make_app(mvm_a.vm, "PoolSnoop", main))
+            app = mvm_a.launch(ExecSpec(make_app(mvm_a.vm, "PoolSnoop", main)))
             assert app.wait_for(10) == 0
             assert outcome["result"] == "denied"
             assert pool.stats()["idle"] == 1  # the denial consumed nothing

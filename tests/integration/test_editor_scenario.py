@@ -18,6 +18,7 @@ import pytest
 
 from repro.awt.components import Frame, MenuBar, TextArea
 from repro.core.context import current_application_or_none
+from repro.core.execspec import ExecSpec
 from repro.io.file import read_text, write_text
 from repro.jvm.classloading import ClassMaterial
 from repro.jvm.errors import SecurityException
@@ -80,8 +81,8 @@ def test_alice_and_bob_save_into_their_own_homes(host, editor):
     """The headline: same program, two users, two correct save targets."""
     alice = host.vm.user_database.lookup("alice")
     bob = host.vm.user_database.lookup("bob")
-    app_alice = host.exec(editor, ["alice-editor"], user=alice)
-    app_bob = host.exec(editor, ["bob-editor"], user=bob)
+    app_alice = host.launch(ExecSpec(editor, ["alice-editor"], user=alice))
+    app_bob = host.launch(ExecSpec(editor, ["bob-editor"], user=bob))
     xserver = host.toolkit.xserver
     assert wait_for(lambda: xserver.find_window("alice-editor") is not None)
     assert wait_for(lambda: xserver.find_window("bob-editor") is not None)
@@ -135,7 +136,7 @@ def test_save_callback_is_policy_checked_per_user(host, editor):
 
     host.vm.registry.register(evil_material)
     alice = host.vm.user_database.lookup("alice")
-    app = host.exec("apps.EvilEditor", [], user=alice)
+    app = host.launch(ExecSpec("apps.EvilEditor", [], user=alice))
     assert app.wait_for(5) == 0
     assert outcome["result"] == "denied"
 
@@ -143,8 +144,8 @@ def test_save_callback_is_policy_checked_per_user(host, editor):
 def test_editor_keystrokes_update_only_their_own_buffer(host, editor):
     alice = host.vm.user_database.lookup("alice")
     bob = host.vm.user_database.lookup("bob")
-    app_alice = host.exec(editor, ["ed-a"], user=alice)
-    app_bob = host.exec(editor, ["ed-b"], user=bob)
+    app_alice = host.launch(ExecSpec(editor, ["ed-a"], user=alice))
+    app_bob = host.launch(ExecSpec(editor, ["ed-b"], user=bob))
     xserver = host.toolkit.xserver
     assert wait_for(lambda: xserver.find_window("ed-a") is not None)
     assert wait_for(lambda: xserver.find_window("ed-b") is not None)

@@ -3,6 +3,7 @@ the multi-user system of Section 2, driven end-to-end."""
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.tools.terminal import TerminalDevice
 
 
@@ -17,7 +18,7 @@ def consoles(mvm):
 
 
 def login_on(mvm, device, user, password):
-    app = mvm.exec("tools.Terminal", [device.name])
+    app = mvm.launch(ExecSpec("tools.Terminal", [device.name]))
     assert device.wait_for_output("login: "), device.transcript()
     device.type_line(user)
     assert device.wait_for_output("Password: "), device.transcript()

@@ -7,6 +7,7 @@ pipes in our prototype."
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.io.file import write_text
 from repro.jvm.classloading import ClassMaterial
 from repro.security.codesource import CodeSource
@@ -35,8 +36,8 @@ def test_the_whole_menagerie_at_once(mvm):
     web.publish_class(applet)
 
     with mvm.host_session():
-        term1 = mvm.exec("tools.Terminal", ["tty1"])
-        term2 = mvm.exec("tools.Terminal", ["tty2"])
+        term1 = mvm.launch(ExecSpec("tools.Terminal", ["tty1"]))
+        term2 = mvm.launch(ExecSpec("tools.Terminal", ["tty2"]))
 
         for tty, user, password in ((tty1, "alice", "wonderland"),
                                     (tty2, "bob", "builder")):
@@ -79,8 +80,9 @@ def test_background_job_with_kill_from_shell(host):
     from repro.tools.terminal import Terminal, TerminalDevice
     device = TerminalDevice("kill-tty")
     terminal = Terminal(device)
-    shell = host.exec("tools.Shell", [], stdin=terminal.input,
-                      stdout=terminal.output, stderr=terminal.output)
+    shell = host.launch(
+        ExecSpec("tools.Shell", [], stdin=terminal.input,
+                 stdout=terminal.output, stderr=terminal.output))
     assert device.wait_for_output("$ ")
     device.type_line("sleep 30 &")
     device.type_line("ps")
@@ -103,8 +105,8 @@ def test_shell_exit_cascades_to_background_children(host, capture):
     shell terminates, its teardown reaps them (the process-group
     analogue)."""
     out = capture()
-    shell = host.exec("tools.Shell", ["-c", "sleep 30 &", "ps"],
-                      stdout=out.stream, stderr=out.stream)
+    shell = host.launch(ExecSpec("tools.Shell", ["-c", "sleep 30 &", "ps"],
+                                 stdout=out.stream, stderr=out.stream))
     assert shell.wait_for(10) == 0
     sleeper_rows = [line for line in out.text.splitlines()
                     if "sleep#" in line]
@@ -122,13 +124,13 @@ def test_shell_exit_cascades_to_background_children(host, capture):
 def test_io_redirection_chains_across_applications(host, capture):
     """Write with one app, transform with a pipeline, verify with cat."""
     out = capture()
-    shell = host.exec(
+    shell = host.launch(ExecSpec(
         "tools.Shell",
         ["-c",
          "echo 'alpha beta' > /tmp/chain.txt",
          "cat /tmp/chain.txt | wc > /tmp/counts.txt",
          "cat /tmp/counts.txt"],
-        stdout=out.stream, stderr=out.stream)
+        stdout=out.stream, stderr=out.stream))
     assert shell.wait_for(10) == 0
     assert out.text.strip() == "1 2 11"
 
@@ -142,7 +144,7 @@ def test_many_concurrent_applications(host, register_app):
         return 0
 
     class_name = register_app("Burst", main)
-    apps = [host.exec(class_name) for _ in range(25)]
+    apps = [host.launch(ExecSpec(class_name)) for _ in range(25)]
     for app in apps:
         assert app.wait_for(10) == 0
     assert all(app.terminated for app in apps)
@@ -156,11 +158,11 @@ def test_deep_application_ancestry(host, register_app):
         depth = int(args[0])
         depth_reached.append(depth)
         if depth < 5:
-            child = ctx.exec("apps.Deep", [str(depth + 1)])
+            child = ctx.launch(ExecSpec("apps.Deep", [str(depth + 1)]))
             child.wait_for(10)
         return 0
 
     register_app("Deep", main)
-    top = host.exec("apps.Deep", ["1"])
+    top = host.launch(ExecSpec("apps.Deep", ["1"]))
     assert top.wait_for(15) == 0
     assert sorted(depth_reached) == [1, 2, 3, 4, 5]

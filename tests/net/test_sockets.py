@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.jvm.errors import SecurityException, SocketException
 from repro.jvm.threads import JThread
 from repro.net.sockets import ServerSocket, Socket
@@ -47,7 +48,7 @@ class TestClientSocket:
                 outcome["result"] = "denied"
             return 0
 
-        app = host.exec(register_app("NetDenied", main))
+        app = host.launch(ExecSpec(register_app("NetDenied", main)))
         assert app.wait_for(5) == 0
         assert outcome["result"] == "denied"
 
@@ -62,7 +63,7 @@ class TestClientSocket:
             socket.close()
             return 0
 
-        app = host.exec(register_app("NetAllowed", main))
+        app = host.launch(ExecSpec(register_app("NetAllowed", main)))
         assert app.wait_for(5) == 0
         assert outcome["reply"] == "echo:hi"
 
@@ -78,7 +79,7 @@ class TestClientSocket:
                 outcome["result"] = "denied"
             return 0
 
-        app = host.exec(register_app("WrongHost", main))
+        app = host.launch(ExecSpec(register_app("WrongHost", main)))
         assert app.wait_for(5) == 0
         assert outcome["result"] == "denied"
 
@@ -123,6 +124,6 @@ class TestServerSocket:
                 outcome["result"] = "denied"
             return 0
 
-        app = host.exec(register_app("Listener", main))
+        app = host.launch(ExecSpec(register_app("Listener", main)))
         assert app.wait_for(5) == 0
         assert outcome["result"] == "denied"

@@ -9,6 +9,7 @@ the paper's Section 5.3 policy engine.
 import pytest
 
 from repro.core.context import current_application
+from repro.core.execspec import ExecSpec
 from repro.jvm.errors import (
     IllegalArgumentException,
     IllegalStateException,
@@ -80,8 +81,8 @@ class TestLifecycle:
             ctx.stdout.println(current_application().phase)
             return 0
 
-        app = host.exec(register_app("Phaseprobe", main), [],
-                        name="phaseprobe")
+        app = host.launch(ExecSpec(register_app("Phaseprobe", main), [],
+                                   name="phaseprobe"))
         assert app.wait_for(10) == 0
         assert app.phase == PHASE_SHUTDOWN
 
@@ -96,7 +97,8 @@ class TestLifecycle:
                 return 0
             return 1
 
-        app = host.exec(register_app("Forward", main), [], name="forward")
+        app = host.launch(
+            ExecSpec(register_app("Forward", main), [], name="forward"))
         assert app.wait_for(10) == 0
 
     def test_unknown_phase_rejected(self, host, register_app):
@@ -107,12 +109,11 @@ class TestLifecycle:
                 return 0
             return 1
 
-        app = host.exec(register_app("Turbo", main), [], name="turbo")
+        app = host.launch(
+            ExecSpec(register_app("Turbo", main), [], name="turbo"))
         assert app.wait_for(10) == 0
 
     def test_execspec_phase_override(self, host, register_app, capture):
-        from repro.core.execspec import ExecSpec
-
         def main(jclass, ctx, args):
             ctx.stdout.println(current_application().phase)
             return 0
@@ -138,8 +139,8 @@ class TestLifecycle:
             return 0
 
         bob = host.vm.user_database.lookup("bob")
-        victim = host.exec(register_app("Victim", victim_main), [],
-                           name="victim")
+        victim = host.launch(ExecSpec(register_app("Victim", victim_main), [],
+                                      name="victim"))
 
         def attacker_main(jclass, ctx, args):
             try:
@@ -149,8 +150,9 @@ class TestLifecycle:
                 return 0
             return 1
 
-        attacker = host.exec(register_app("Attacker", attacker_main), [],
-                             user=bob, name="attacker")
+        attacker = host.launch(
+            ExecSpec(register_app("Attacker", attacker_main), [],
+                     user=bob, name="attacker"))
         assert attacker.wait_for(10) == 0
         assert victim.wait_for(10) == 0
 
@@ -176,7 +178,8 @@ class TestPhaseEnforcement:
                 return 0
             return 1
 
-        app = host.exec(register_app("Staged", main), [], name="staged")
+        app = host.launch(
+            ExecSpec(register_app("Staged", main), [], name="staged"))
         assert app.wait_for(10) == 0
 
     def test_phase_transition_never_bumps_the_epoch(self, host,
@@ -197,7 +200,8 @@ class TestPhaseEnforcement:
             current_application().advance_phase(PHASE_SHUTDOWN)
             return 0
 
-        app = host.exec(register_app("Epochy", main), [], name="epochy")
+        app = host.launch(
+            ExecSpec(register_app("Epochy", main), [], name="epochy"))
         assert app.wait_for(10) == 0
         assert policy.epoch == epoch_before
 

@@ -17,7 +17,7 @@ def run_tool(mvm, args, capture, user=None):
     kwargs = {"stdout": out.stream, "stderr": out.stream}
     if user is not None:
         kwargs["user"] = mvm.vm.user_database.lookup(user)
-    app = mvm.exec("tools.Policygen", args, **kwargs)
+    app = mvm.launch(ExecSpec("tools.Policygen", args, **kwargs))
     return app.wait_for(10), out.text
 
 
@@ -63,7 +63,7 @@ class TestRecordVerb:
             return 0
 
         class_name = register_app("Toggled", main)
-        app = host.exec(class_name, [], name="toggled")
+        app = host.launch(ExecSpec(class_name, [], name="toggled"))
         code, text = run_tool(host, [
             "record", str(app.app_id), "on"], capture)
         assert code == 0 and "recording on" in text
@@ -146,13 +146,13 @@ class TestInferDiffLintVerbs:
 class TestProcPolicy:
     def test_policy_dir_lists_applications(self, host, capture, learner):
         out = capture()
-        app = host.exec("tools.Ls", ["/proc/policy"],
-                        stdout=out.stream, stderr=out.stream)
+        app = host.launch(ExecSpec("tools.Ls", ["/proc/policy"],
+                                   stdout=out.stream, stderr=out.stream))
         assert app.wait_for(10) == 0
         assert str(learner.app_id) in out.text.split()
         out = capture()
-        app = host.exec("tools.Ls", ["/proc"],
-                        stdout=out.stream, stderr=out.stream)
+        app = host.launch(ExecSpec("tools.Ls", ["/proc"],
+                                   stdout=out.stream, stderr=out.stream))
         assert app.wait_for(10) == 0
         assert "policy" in out.text.split()
 
@@ -202,7 +202,7 @@ class TestDistWire:
             os_context=standard_process(hostname=self.HOST_B),
             network=fabric)
         with mvm_b.host_session():
-            mvm_b.exec("dist.RexecDaemon", [str(self.PORT)])
+            mvm_b.launch(ExecSpec("dist.RexecDaemon", [str(self.PORT)]))
         assert wait_until(lambda: fabric.resolve(
             self.HOST_B)._listener(self.PORT) is not None)
         yield mvm_a, mvm_b

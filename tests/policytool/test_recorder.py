@@ -198,8 +198,8 @@ class TestManagerNormalization:
             return 0
 
         bob = host.vm.user_database.lookup("bob")
-        app = host.exec(register_app("Mixed", main), [], user=bob,
-                        name="mixed")
+        app = host.launch(ExecSpec(register_app("Mixed", main), [], user=bob,
+                                   name="mixed"))
         assert app.wait_for(10) == 0
         records = host.vm.telemetry.audit.records(app_id=app.app_id)
         assert records

@@ -1,4 +1,4 @@
-"""The unified timing API (timers) and its deprecation shims."""
+"""The unified timing API (timers)."""
 
 import threading
 import time
@@ -131,7 +131,7 @@ class TestLoopThreadGuard:
             sched.shutdown()
 
 
-class TestDeprecationShim:
+class TestPollInterval:
     def test_poll_interval_consistency(self):
         from repro.jvm.threads import POLL_INTERVAL as thread_poll
         assert timers.POLL_INTERVAL == thread_poll

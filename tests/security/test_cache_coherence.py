@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.io.file import read_text
 from repro.jvm.errors import AccessControlException, IllegalArgumentException
 from repro.security import access, cache
@@ -179,7 +180,8 @@ class TestUserPathCoherence:
             access.check_permission(bob_perm)        # bob: user grant
             return 0
 
-        app = host.exec(register_app("UserSwitch", main), [], user=alice)
+        app = host.launch(
+            ExecSpec(register_app("UserSwitch", main), [], user=alice))
         assert phase1_done.wait(10)
         app.set_user(bob)   # host thread: fully trusted, like login's
         switched.set()      # do_privileged'd setUser (Section 5.2)

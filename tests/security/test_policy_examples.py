@@ -10,6 +10,7 @@ end-to-end in the multi-processing VM with real files and real users.
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.io.file import read_text, write_text
 from repro.jvm.errors import SecurityException
 
@@ -29,7 +30,8 @@ def run_reader(mvm, register_app, capture, path, user_name,
     class_name = register_app(f"Reader{user_name.title()}", main,
                               code_source=code_source)
     user = mvm.vm.user_database.lookup(user_name)
-    app = mvm.exec(class_name, [path], user=user, stdout=out.stream)
+    app = mvm.launch(
+        ExecSpec(class_name, [path], user=user, stdout=out.stream))
     assert app.wait_for(5) == 0
     return out.text
 
@@ -67,16 +69,17 @@ class TestRule1LocalAppsExerciseUserPermissions:
 class TestRule2BackupReadsAllFiles:
     def test_backup_reads_both_homes(self, host, capture):
         out = capture()
-        app = host.exec("apps.Backup",
-                        ["/home/alice/notes.txt", "/home/bob/todo.txt"],
-                        stdout=out.stream, stderr=out.stream)
+        app = host.launch(
+            ExecSpec("apps.Backup",
+                     ["/home/alice/notes.txt", "/home/bob/todo.txt"],
+                     stdout=out.stream, stderr=out.stream))
         assert app.wait_for(5) == 0
         assert "backed up 2 file(s)" in out.text
 
     def test_backup_content_lands_in_var_backup(self, host, capture):
         out = capture()
-        app = host.exec("apps.Backup", ["/home/alice/notes.txt"],
-                        stdout=out.stream, stderr=out.stream)
+        app = host.launch(ExecSpec("apps.Backup", ["/home/alice/notes.txt"],
+                                   stdout=out.stream, stderr=out.stream))
         app.wait_for(5)
         ctx = host.initial.context()
         assert "private notes" in read_text(
@@ -98,7 +101,7 @@ class TestRule2BackupReadsAllFiles:
         class_name = register_app(
             "EvilBackup", main,
             code_source="file:/usr/local/java/apps/backup/Evil.class")
-        app = host.exec(class_name, [], stdout=out.stream)
+        app = host.launch(ExecSpec(class_name, [], stdout=out.stream))
         app.wait_for(5)
         assert "DENIED" in out.text
 
@@ -118,8 +121,9 @@ class TestRules3And4UserHomes:
 
         class_name = register_app("AliceHome", main)
         alice = host.vm.user_database.lookup("alice")
-        app = host.exec(class_name, [], user=alice, stdout=out.stream,
-                        stderr=out.stream)
+        app = host.launch(
+            ExecSpec(class_name, [], user=alice, stdout=out.stream,
+                     stderr=out.stream))
         assert app.wait_for(5) == 0
         assert "scratch" in out.text
         assert "cycle-done" in out.text
@@ -146,6 +150,6 @@ class TestRules3And4UserHomes:
             return 0
 
         class_name = register_app("NobodyReader", main)
-        app = host.exec(class_name, [], stdout=out.stream)
+        app = host.launch(ExecSpec(class_name, [], stdout=out.stream))
         app.wait_for(5)
         assert "DENIED" in out.text

@@ -1,16 +1,16 @@
-"""The unified launch surface: ExecSpec routing, ExitStatus, shims."""
-
-import warnings
+"""The unified launch surface: ExecSpec routing and ExitStatus."""
 
 import pytest
 
 import repro
-from repro.core.application import Application, ExitStatus
-from repro.core.execspec import ExecSpec, Placement, launch, spec_fields
+from repro.core.application import ExitStatus
+from repro.core.execspec import ExecSpec, Placement, launch
+from repro.dist import client as dist_client
 from repro.jvm.errors import (
     IllegalArgumentException,
     IllegalStateException,
 )
+from repro.lang.context import InvocationContext
 
 pytestmark = pytest.mark.supervision
 
@@ -49,12 +49,6 @@ class TestSpec:
         assert remote.placement.kind == "remote"
         assert remote.class_name == "t.C" and remote.args == ("x",)
         assert spec.placement.kind == "local"
-
-    def test_spec_fields_cover_the_legacy_surfaces(self):
-        names = spec_fields()
-        for legacy in ("user", "stdin", "stdout", "stderr", "cwd",
-                       "properties", "limits", "password"):
-            assert legacy in names
 
 
 class TestRouting:
@@ -110,23 +104,57 @@ class TestRouting:
                    vm=mvm.vm)
 
 
-class TestDeprecatedShims:
-    def test_application_exec_warns_and_still_works(self, mvm, host):
-        with pytest.warns(DeprecationWarning,
-                          match=r"Application\.exec\(\) is deprecated"):
-            app = Application.exec("tools.True", [])
-        assert app.wait_for(5) == 0
+class TestInAppRouting:
+    """``ctx.launch`` from inside an application honours the placement:
+    nothing falls back to a local child."""
 
-    def test_mvm_exec_warns_and_still_works(self, mvm, host, capture):
-        out = capture()
-        with pytest.warns(DeprecationWarning,
-                          match=r"MultiProcVM\.exec\(\) is deprecated"):
-            app = mvm.exec("tools.Echo", ["legacy"], stdout=out.stream)
-        assert app.wait_for(5) == 0
-        assert out.text == "legacy\n"
+    def test_needs_an_application(self, vm):
+        ctx = InvocationContext(vm, vm.boot_loader)
+        with pytest.raises(IllegalStateException):
+            ctx.launch(ExecSpec("tools.True"))
 
-    def test_internal_paths_do_not_warn(self, mvm, host):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            app = mvm.launch(ExecSpec("tools.True", ()))
-            assert app.wait(5).code == 0
+    def test_cluster_placement_without_cluster_raises(self, mvm, host,
+                                                      register_app):
+        seen = {}
+
+        def main(jclass, ctx, args):
+            try:
+                ctx.launch(ExecSpec("tools.True",
+                                    placement=Placement.cluster()))
+            except IllegalStateException as exc:
+                seen["error"] = exc
+            seen["children"] = len(ctx.app.children)
+            return 0
+
+        app = mvm.launch(ExecSpec(register_app("ClusterLess", main)))
+        assert app.wait_for(5) == 0
+        assert isinstance(seen["error"], IllegalStateException)
+        assert seen["children"] == 0
+
+    def test_remote_spec_reaches_the_dist_client(self, mvm, host,
+                                                 register_app, monkeypatch):
+        created = []
+
+        class RecordingRemote:
+            def __init__(self, ctx, host, port, user, password, class_name,
+                         args, **kwargs):
+                created.append((host, port, user, class_name, args))
+
+        monkeypatch.setattr(dist_client, "RemoteApplication",
+                            RecordingRemote)
+        seen = {}
+
+        def main(jclass, ctx, args):
+            handle = ctx.launch(ExecSpec(
+                "tools.Echo", ("hi",), user="alice", password="wonderland",
+                placement=Placement.remote("vm-b.example.com", 7100)))
+            seen["handle"] = handle
+            seen["children"] = len(ctx.app.children)
+            return 0
+
+        app = mvm.launch(ExecSpec(register_app("RemoteLauncher", main)))
+        assert app.wait_for(5) == 0
+        assert isinstance(seen["handle"], RecordingRemote)
+        assert seen["children"] == 0
+        assert created == [("vm-b.example.com", 7100, "alice",
+                            "tools.Echo", ["hi"])]

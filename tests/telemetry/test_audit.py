@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.io.file import read_text
 from repro.jvm.errors import IOException, SecurityException
 
@@ -23,7 +24,7 @@ class TestAuditTrail:
 
         bob = host.vm.user_database.lookup("bob")
         class_name = register_app("Snoop", main)
-        app = host.exec(class_name, [], user=bob, name="snoop")
+        app = host.launch(ExecSpec(class_name, [], user=bob, name="snoop"))
         assert app.wait_for(10) == 0
 
         audit = host.vm.telemetry.audit
@@ -41,7 +42,8 @@ class TestAuditTrail:
             read_text(ctx, "/etc/motd")
             return 0
 
-        app = host.exec(register_app("Reader", main), [], name="reader")
+        app = host.launch(
+            ExecSpec(register_app("Reader", main), [], name="reader"))
         assert app.wait_for(10) == 0
         grants = host.vm.telemetry.audit.records(app_id=app.app_id,
                                                  granted=True)
@@ -56,8 +58,8 @@ class TestAuditTrail:
             return 0
 
         bob = host.vm.user_database.lookup("bob")
-        app = host.exec(register_app("Snoop2", main), [], user=bob,
-                        name="snoop2")
+        app = host.launch(ExecSpec(register_app("Snoop2", main), [], user=bob,
+                                   name="snoop2"))
         assert app.wait_for(10) == 0
         metrics = host.vm.telemetry.metrics
         assert metrics.total("security.checks", app="snoop2",

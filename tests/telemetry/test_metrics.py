@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.application import ResourceLimitExceeded, ResourceLimits
+from repro.core.execspec import ExecSpec
 from repro.jvm.threads import JThread
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -83,8 +84,8 @@ class TestLimitsRejectedCounter:
             return 0
 
         class_name = register_app("LimitProbe", main)
-        app = host.exec(class_name, [], name="limitprobe",
-                        limits=ResourceLimits(max_threads=2))
+        app = host.launch(ExecSpec(class_name, [], name="limitprobe",
+                                   limits=ResourceLimits(max_threads=2)))
         assert app.wait_for(10) == 0
         assert outcome["limit"] == "max_threads"
         assert outcome["maximum"] == 2

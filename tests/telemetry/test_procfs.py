@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.io.file import read_text
 from repro.jvm.errors import (
     FileNotFoundException,
@@ -24,7 +25,8 @@ def run_probe(host, register_app, probe_name, body, user=None, **kwargs):
             outcome["error"] = exc
         return 0
 
-    app = host.exec(register_app(probe_name, main), [], user=user, **kwargs)
+    app = host.launch(
+        ExecSpec(register_app(probe_name, main), [], user=user, **kwargs))
     assert app.wait_for(10) == 0
     return app, outcome
 
@@ -58,8 +60,9 @@ class TestProcSurface:
             JThread.sleep(5.0)
             return 0
 
-        target = host.exec(register_app("ParkedApp", park), [], user=alice,
-                           name="parked")
+        target = host.launch(
+            ExecSpec(register_app("ParkedApp", park), [], user=alice,
+                     name="parked"))
 
         def body(ctx):
             return read_text(ctx, f"/proc/{target.app_id}/metrics")
@@ -160,7 +163,7 @@ class TestProcSurface:
             return 0
             yield  # pragma: no cover - marks this main as a continuation
 
-        app = host.exec(register_app("SchedGenProbe", main), [])
+        app = host.launch(ExecSpec(register_app("SchedGenProbe", main), []))
         assert app.wait_for(10) == 0
         fields = dict(line.split("\t") for line
                       in outcome["sched"].strip().splitlines())

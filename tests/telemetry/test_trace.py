@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.io.file import read_text
 
 pytestmark = pytest.mark.telemetry
@@ -38,12 +39,12 @@ class TestSpanNesting:
             child_class = register_app("TraceChild", child_main)
 
             def parent_main(jclass, ctx, args):
-                child = ctx.exec(child_class, [], name="tchild")
+                child = ctx.launch(ExecSpec(child_class, [], name="tchild"))
                 child.wait_for(5)
                 return 0
 
             parent_class = register_app("TraceParent", parent_main)
-            app = host.exec(parent_class, [], name="tparent")
+            app = host.launch(ExecSpec(parent_class, [], name="tparent"))
             assert app.wait_for(10) == 0
             assert wait_until(
                 lambda: spans(tracer.records(), "app.main", "tchild"))
@@ -75,7 +76,7 @@ class TestLifecycleTrace:
                 return 0
 
             class_name = register_app("TraceLife", main)
-            app = host.exec(class_name, [], name="tlife")
+            app = host.launch(ExecSpec(class_name, [], name="tlife"))
             assert app.wait_for(10) == 0
             host.toolkit.dispatcher.invoke_and_wait(lambda: None,
                                                     application=host.initial)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.jvm.classloading import ClassMaterial
 from repro.jvm.errors import SecurityException
 from repro.net.sockets import Socket
@@ -89,10 +90,11 @@ class TestSandbox:
         its own host, and only to its own host."""
         web, results = applet_host
         alice = host.vm.user_database.lookup("alice")
-        app = host.exec("tools.AppletViewer",
-                        ["--no-wait", "http://web.example.com/classes/"
-                         "applets.Probe"],
-                        user=alice)
+        app = host.launch(
+            ExecSpec("tools.AppletViewer",
+                     ["--no-wait", "http://web.example.com/classes/"
+                      "applets.Probe"],
+                     user=alice))
         assert app.wait_for(10) == 0
         assert results["init"] is True
         assert results["start"] is True
@@ -116,14 +118,15 @@ class TestSandbox:
             "ViewerLike", main,
             code_source="file:/usr/local/java/tools/appletviewer/V.class")
         alice = host.vm.user_database.lookup("alice")
-        app = host.exec(class_name, [], user=alice)
+        app = host.launch(ExecSpec(class_name, [], user=alice))
         assert app.wait_for(5) == 0
         assert "private notes" in outcome["text"]
 
     def test_window_close_drives_applet_lifecycle(self, host, applet_host):
         web, results = applet_host
-        app = host.exec("tools.AppletViewer",
-                        ["http://web.example.com/classes/applets.Probe"])
+        app = host.launch(
+            ExecSpec("tools.AppletViewer",
+                     ["http://web.example.com/classes/applets.Probe"]))
         xserver = host.toolkit.xserver
         import time
         deadline = time.monotonic() + 5
@@ -146,9 +149,9 @@ class TestSandbox:
             from repro.core.context import current_application_or_none
             recorded["app"] = current_application_or_none()
 
-        handle_app = host.exec(
+        handle_app = host.launch(ExecSpec(
             "tools.AppletViewer",
-            ["--no-wait", "http://web.example.com/classes/applets.Probe"])
+            ["--no-wait", "http://web.example.com/classes/applets.Probe"]))
         assert handle_app.wait_for(10) == 0
 
 
@@ -193,15 +196,16 @@ class TestAppletClassLoader:
 class TestViewerErrors:
     def test_usage_error(self, host, capture):
         out = capture()
-        app = host.exec("tools.AppletViewer", [], stdout=out.stream,
-                        stderr=out.stream)
+        app = host.launch(ExecSpec("tools.AppletViewer", [], stdout=out.stream,
+                                   stderr=out.stream))
         assert app.wait_for(5) == 2
         assert "usage" in out.text
 
     def test_unknown_host_reported(self, host, capture):
         out = capture()
-        app = host.exec("tools.AppletViewer",
-                        ["--no-wait", "http://ghost.example.com/classes/X"],
-                        stdout=out.stream, stderr=out.stream)
+        app = host.launch(
+            ExecSpec("tools.AppletViewer",
+                     ["--no-wait", "http://ghost.example.com/classes/X"],
+                     stdout=out.stream, stderr=out.stream))
         assert app.wait_for(5) == 1
         assert "appletviewer:" in out.text

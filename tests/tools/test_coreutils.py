@@ -2,6 +2,7 @@
 
 import time
 
+from repro.core.execspec import ExecSpec
 from repro.io.file import read_text, write_text
 from repro.io.streams import ByteArrayInputStream
 
@@ -16,7 +17,7 @@ def run_tool(mvm, class_name, args, capture, stdin=None, user=None,
         kwargs["user"] = mvm.vm.user_database.lookup(user)
     if cwd is not None:
         kwargs["cwd"] = cwd
-    app = mvm.exec(class_name, args, **kwargs)
+    app = mvm.launch(ExecSpec(class_name, args, **kwargs))
     return app.wait_for(10), out.text
 
 
@@ -144,7 +145,7 @@ class TestFileTools:
 
 class TestProcessTools:
     def test_ps_shows_applications(self, host, capture):
-        sleeper = host.exec("tools.Sleep", ["30"])
+        sleeper = host.launch(ExecSpec("tools.Sleep", ["30"]))
         code, text = run_tool(host, "tools.Ps", [], capture)
         assert code == 0
         assert "AID USER" in text
@@ -154,7 +155,7 @@ class TestProcessTools:
         sleeper.wait_for(5)
 
     def test_kill_terminates_target(self, host, capture):
-        sleeper = host.exec("tools.Sleep", ["30"])
+        sleeper = host.launch(ExecSpec("tools.Sleep", ["30"]))
         code, __ = run_tool(host, "tools.Kill", [str(sleeper.app_id)],
                             capture)
         assert code == 0
@@ -180,8 +181,9 @@ class TestYes:
         """yes | head — head finishes, the pipe breaks, and the shell's
         teardown stops yes."""
         out = capture()
-        app = host.exec("tools.Shell", ["-c", "yes spam | head -n 4"],
-                        stdout=out.stream, stderr=out.stream)
+        app = host.launch(
+            ExecSpec("tools.Shell", ["-c", "yes spam | head -n 4"],
+                     stdout=out.stream, stderr=out.stream))
         assert app.wait_for(10) == 0
         assert out.text.splitlines() == ["spam"] * 4
 
@@ -222,9 +224,10 @@ class TestSortUniqTee:
         ctx = host.initial.context()
         write_text(ctx, "/tmp/animals.txt", "dog\ncat\ndog\nbird\ncat\n")
         out = capture()
-        app = host.exec("tools.Shell",
-                        ["-c", "cat /tmp/animals.txt | sort | uniq"],
-                        stdout=out.stream, stderr=out.stream)
+        app = host.launch(
+            ExecSpec("tools.Shell",
+                     ["-c", "cat /tmp/animals.txt | sort | uniq"],
+                     stdout=out.stream, stderr=out.stream))
         assert app.wait_for(10) == 0
         assert out.text.splitlines() == ["bird", "cat", "dog"]
 
@@ -232,9 +235,9 @@ class TestSortUniqTee:
 class TestIdentityAndMisc:
     def test_env_shows_app_properties(self, host, capture):
         out = capture()
-        app = host.exec("tools.Shell",
-                        ["-c", "setprop shape round", "env"],
-                        stdout=out.stream, stderr=out.stream)
+        app = host.launch(ExecSpec("tools.Shell",
+                                   ["-c", "setprop shape round", "env"],
+                                   stdout=out.stream, stderr=out.stream))
         assert app.wait_for(10) == 0
         assert "java.version=1.2mp-proto" in out.text
 
@@ -257,16 +260,17 @@ class TestIdentityAndMisc:
 
     def test_true_false_with_conditionals(self, host, capture):
         out = capture()
-        app = host.exec("tools.Shell",
-                        ["-c", "true && echo yes", "false || echo no"],
-                        stdout=out.stream, stderr=out.stream)
+        app = host.launch(
+            ExecSpec("tools.Shell",
+                     ["-c", "true && echo yes", "false || echo no"],
+                     stdout=out.stream, stderr=out.stream))
         assert app.wait_for(10) == 0
         assert out.text.splitlines() == ["yes", "no"]
 
 
 class TestPsLongFormat:
     def test_ps_l_shows_lifetime_stats(self, host, capture):
-        sleeper = host.exec("tools.Sleep", ["30"])
+        sleeper = host.launch(ExecSpec("tools.Sleep", ["30"]))
         code, text = run_tool(host, "tools.Ps", ["-l"], capture)
         assert code == 0
         assert "[threads/streams/windows/children ever]" in text
@@ -287,7 +291,7 @@ class TestPsLongFormat:
             worker.join(2)
             return 0
 
-        app = host.exec(register_app("StatApp", main))
+        app = host.launch(ExecSpec(register_app("StatApp", main)))
         assert app.wait_for(10) == 0
         assert app.stats["streams"] == 3
         assert app.stats["threads"] == 2  # main + one worker

@@ -1,5 +1,6 @@
 """The login program (Sections 5.2 and 6.2)."""
 
+from repro.core.execspec import ExecSpec
 from repro.io.streams import (
     ByteArrayInputStream,
     ByteArrayOutputStream,
@@ -16,7 +17,7 @@ def scripted_login(mvm, keystrokes, capture=None):
     """
     device = TerminalDevice("login-console")
     mvm.vm.consoles["login-console"] = device
-    term_app = mvm.exec("tools.Terminal", ["login-console"])
+    term_app = mvm.launch(ExecSpec("tools.Terminal", ["login-console"]))
     remaining = list(keystrokes)
     attempts = 0
 
@@ -97,8 +98,9 @@ class TestPipeMode:
         """Login falls back to plain stream reads when stdin is a pipe."""
         stdin = ByteArrayInputStream(b"alice\nwonderland\nexit\n")
         sink = ByteArrayOutputStream()
-        app = host.exec("tools.Login", [], stdin=stdin,
-                        stdout=PrintStream(sink), stderr=PrintStream(sink))
+        app = host.launch(
+            ExecSpec("tools.Login", [], stdin=stdin,
+                     stdout=PrintStream(sink), stderr=PrintStream(sink)))
         assert app.wait_for(10) == 0
         text = sink.to_text()
         assert "logged out" in text

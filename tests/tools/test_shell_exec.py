@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from repro.core.execspec import ExecSpec
 from repro.io.file import read_text, write_text
 from repro.io.streams import make_pipe
 
@@ -16,7 +17,7 @@ def run_shell(mvm, lines, capture, user=None, cwd=None, timeout=10.0):
         kwargs["user"] = mvm.vm.user_database.lookup(user)
     if cwd is not None:
         kwargs["cwd"] = cwd
-    app = mvm.exec("tools.Shell", ["-c", *lines], **kwargs)
+    app = mvm.launch(ExecSpec("tools.Shell", ["-c", *lines], **kwargs))
     code = app.wait_for(timeout)
     return code, out.text
 
@@ -162,10 +163,10 @@ class TestBackgroundJobs:
 
     def test_jobs_lists_running_then_done(self, host, capture):
         out = capture()
-        app = host.exec("tools.Shell",
-                        ["-c", "sleep 0.2 &", "jobs", "sleep 0.5",
-                         "jobs"],
-                        stdout=out.stream, stderr=out.stream)
+        app = host.launch(ExecSpec("tools.Shell",
+                                   ["-c", "sleep 0.2 &", "jobs", "sleep 0.5",
+                                    "jobs"],
+                                   stdout=out.stream, stderr=out.stream))
         assert app.wait_for(10) == 0
         assert "running sleep 0.2 &" in out.text
         assert "done" in out.text
@@ -182,8 +183,8 @@ class TestStreamResponsibility:
         """Section 5.1: the shell closes the streams it created once the
         application finishes."""
         out = capture()
-        app = host.exec("tools.Shell", ["-c", "echo data | wc"],
-                        stdout=out.stream, stderr=out.stream)
+        app = host.launch(ExecSpec("tools.Shell", ["-c", "echo data | wc"],
+                                   stdout=out.stream, stderr=out.stream))
         assert app.wait_for(10) == 0
         # If the shell failed to close the pipe write end, wc would hang
         # forever and wait_for above would time out; reaching here with
@@ -198,8 +199,8 @@ class TestStreamResponsibility:
         writer.write(b"head -n 1\nline-for-head\necho after\n")
         writer.close()
         out = capture()
-        app = host.exec("tools.Shell", [], stdin=reader,
-                        stdout=out.stream, stderr=out.stream)
+        app = host.launch(ExecSpec("tools.Shell", [], stdin=reader,
+                                   stdout=out.stream, stderr=out.stream))
         assert app.wait_for(10) == 0
         assert out.text == "line-for-head\nafter\n"
 
