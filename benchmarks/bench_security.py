@@ -8,7 +8,9 @@ policy machinery cost, so the overhead story is quantified:
 * ``check_permission`` as a function of stack depth;
 * code-source-only grant vs the UserPermission + user-grant combination;
 * ``do_privileged`` walk truncation;
-* policy parsing and ``FilePermission.implies`` micro-costs.
+* policy parsing and ``FilePermission.implies`` micro-costs;
+* ``UserDatabase.authenticate`` on the PBKDF2 path vs the
+  verified-credential tag (the per-remote-exec credential check).
 """
 
 import contextlib
@@ -31,7 +33,9 @@ from repro.security.permissions import (  # noqa: E402
     Permissions,
     UserPermission,
 )
+from repro.security.auth import UserDatabase  # noqa: E402
 from repro.security.policy import parse_policy  # noqa: E402
+from repro.telemetry.metrics import MetricsRegistry  # noqa: E402
 
 PERM = FilePermission("/home/alice/notes.txt", "read")
 
@@ -298,6 +302,44 @@ def test_bench_user_path_cached():
     print(f"uncached: {uncached_s / LOOP_N * 1e6:8.2f} us/check")
     print(f"cached:   {cached_s / LOOP_N * 1e6:8.2f} us/check")
     print(f"speedup:  {uncached_s / cached_s:8.1f}x")
+
+
+def test_bench_authenticate_cold_vs_cached():
+    """What a remote exec's credential check costs: the PBKDF2 path (the
+    first exec after an account is created or its password changed) vs
+    the verified-credential tag every later exec hits."""
+    database = UserDatabase()
+    metrics = MetricsRegistry()
+    database.bind_telemetry(metrics)
+    database.add_user("alice", "wonderland")
+    cold_n = max(LOOP_N // 100, 5)
+    cold_s = 0.0
+    for _ in range(cold_n):
+        database.set_password("alice", "wonderland")   # clears the tag
+        start = time.perf_counter()
+        database.authenticate("alice", "wonderland")
+        cold_s += time.perf_counter() - start
+    authenticate = database.authenticate
+    start = time.perf_counter()
+    for _ in range(LOOP_N):
+        authenticate("alice", "wonderland")
+    cached_s = time.perf_counter() - start
+    # Only the cold calls derived; every cached call was a tag hit.
+    assert metrics.total("security.auth.derive") == cold_n
+    assert metrics.total("security.auth.cache_hit") == LOOP_N
+    cold_us = cold_s / cold_n * 1e6
+    cached_us = cached_s / LOOP_N * 1e6
+    speedup = cold_us / cached_us if cached_us else float("inf")
+    print(banner("C5: authenticate, PBKDF2 path vs verified tag"))
+    print(f"PBKDF2:   {cold_us:8.2f} us/call ({cold_n} calls)")
+    print(f"cached:   {cached_us:8.2f} us/call ({LOOP_N} calls)")
+    print(f"speedup:  {speedup:8.1f}x")
+    # Keys of their own: the policy gate reads the best "cached_us" on
+    # record as its check_permission baseline.
+    record_bench("security", {
+        "bench": "authenticate_cold_vs_cached", "loop_n": LOOP_N,
+        "cold_n": cold_n, "smoke": LOOP_N < 5000, "pbkdf2_us": cold_us,
+        "tag_hit_us": cached_us, "speedup": speedup})
 
 
 def test_bench_policy_parse(benchmark):

@@ -4,7 +4,7 @@ Section 8 of the paper extends the application notion across JVMs; this
 package adds the missing management plane — membership, placement, and
 failover — on top of the ``dist`` remote-execution protocol.  The
 security story is unchanged: credentials travel with each launch and are
-re-authenticated by the target VM (Section 5.2), and untrusted code can
+verified by the target VM (Section 5.2), and untrusted code can
 be confined to designated *playground* nodes (Malkhi & Reiter's remote
 playground model).
 """

@@ -23,7 +23,7 @@ JVMs into a *pool* with observable membership:
 
 The credential model is unchanged from Section 5.2: the registry tracks
 *where* work can run; identity still never travels — every spawn
-re-authenticates against the target VM's own user database.
+has its credentials verified by the target VM's own user database.
 """
 
 from __future__ import annotations

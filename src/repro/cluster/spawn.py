@@ -8,8 +8,8 @@ daemon and the cluster agent over there).
 
 A launch with ``Placement.cluster(...)`` is the paper's
 ``Application.exec`` lifted one level up: pick a node per policy, launch
-through the existing ``dist`` protocol (credentials travel with the
-request and are re-checked by the *target* VM's user database —
+through ``launch()`` with a remote placement (credentials travel with
+the request and are verified by the *target* VM's user database —
 identity never travels, Section 5.2), and return a
 :class:`ClusterApplication` that honours the local ``Application``
 lifecycle surface (``wait_for``, ``destroy``, exit code, output relay).
@@ -39,7 +39,7 @@ from repro.cluster.registry import (
 from repro.cluster.retry import retry_call
 from repro.cluster.scheduler import PlacementError, Scheduler
 from repro.core.application import KILLED_EXIT_CODE, ExitStatus
-from repro.core.execspec import ExecSpec, launch
+from repro.core.execspec import ExecSpec, Placement, launch
 from repro.dist.client import RemoteApplication
 from repro.jvm.errors import (
     IllegalStateException,
@@ -58,29 +58,15 @@ class ClusterApplication:
     greater than one means failover happened.
     """
 
-    def __init__(self, cluster: "Cluster", ctx, class_name: str,
-                 args: Optional[list[str]], user: str, password: str,
-                 policy: str, untrusted: bool, stdout, stderr,
-                 limits=None, record: bool = False,
-                 phase: Optional[str] = None):
+    def __init__(self, cluster: "Cluster", ctx, spec: ExecSpec):
         self._cluster = cluster
         self._ctx = ctx
-        self.class_name = class_name
-        self.args = list(args or [])
-        self._user = user
-        self._password = password
-        self.policy = policy
-        self.untrusted = untrusted
-        self._stdout = stdout
-        self._stderr = stderr
-        #: ResourceLimits shipped with every (re)placement and enforced
-        #: by the target VM — the fix for limits silently dropping on
-        #: the cluster path.
-        self.limits = limits
-        #: Learning mode / launch-phase override, shipped with every
-        #: (re)placement just like limits.
-        self.record = record
-        self.phase = phase
+        #: The launch as asked for.  Every (re)placement ships all of it
+        #: (credentials, limits, learning mode, phase, streams) through
+        #: ``launch()`` with a remote placement to the chosen node, where
+        #: the target VM enforces it.
+        self.spec = spec
+        self.class_name = spec.class_name
         #: Node names this launch has been placed on, in order.
         self.placements: list[str] = []
         self._past_output: list[str] = []
@@ -104,13 +90,15 @@ class ClusterApplication:
         marked dead and excluded, then placement runs again.
         """
         cluster = self._cluster
+        spec = self.spec
         last_error: Optional[Exception] = None
         for _ in range(max(1, cluster.failover_attempts)):
             try:
                 node = retry_call(
                     lambda: cluster.scheduler.place(
-                        self.class_name, policy=self.policy,
-                        untrusted=self.untrusted, user=self._user),
+                        spec.class_name, policy=spec.placement.policy,
+                        untrusted=spec.placement.untrusted,
+                        user=spec.user_name()),
                     retry_on=PlacementError,
                     attempts=cluster.placement_attempts,
                     initial=cluster.placement_backoff,
@@ -119,12 +107,10 @@ class ClusterApplication:
                 raise
             try:
                 with cluster.mvm.host_session("cluster-spawn"):
-                    self._remote = RemoteApplication(
-                        self._ctx, node.name, node.port, self._user,
-                        self._password, self.class_name, self.args,
-                        stdout=self._stdout, stderr=self._stderr,
-                        limits=self.limits, record=self.record,
-                        phase=self.phase)
+                    self._remote = launch(
+                        spec.with_placement(
+                            Placement.remote(node.name, node.port)),
+                        ctx=self._ctx)
                 self.placements.append(node.name)
                 return
             except NodeUnavailableException as exc:
@@ -425,19 +411,13 @@ class Cluster:
     def _exec_spec(self, spec: ExecSpec, ctx=None) -> ClusterApplication:
         """The cluster launch choke point ``launch()`` routes through.
 
-        ``spec.user``/``spec.password`` are re-authenticated by the
-        target VM — credentials travel, identity does not (Section 5.2).
+        ``spec.user``/``spec.password`` are verified by the target VM —
+        credentials travel, identity does not (Section 5.2).
         ``Placement.cluster(untrusted=True)`` confines the launch to
         playground nodes.
         """
         context = ctx if ctx is not None else self.mvm.initial.context()
-        placement = spec.placement
-        application = ClusterApplication(
-            self, context, spec.class_name, list(spec.args),
-            spec.user_name(), spec.password, placement.policy,
-            placement.untrusted, spec.stdout, spec.stderr,
-            limits=spec.limits, record=spec.record_policy,
-            phase=spec.phase)
+        application = ClusterApplication(self, context, spec)
         self._active.add(application)
         return application
 

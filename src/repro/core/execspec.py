@@ -74,7 +74,7 @@ class ExecSpec:
     ``user`` is a :class:`~repro.security.auth.JavaUser` for local
     launches (inherited from the parent when None, Section 5.1); for
     cluster/remote placements it is the *username string* that travels
-    with ``password`` and is re-authenticated by the target VM
+    with ``password`` and is verified by the target VM
     (credentials travel, identity does not — Section 5.2).  A
     ``JavaUser`` given to a non-local placement contributes its name.
 

@@ -282,6 +282,7 @@ class MultiProcVM:
             bind(vm.telemetry.metrics)
         vm.user_database = users if users is not None \
             else standard_user_database()
+        vm.user_database.bind_telemetry(vm.telemetry.metrics)
         vm.system_exit_exits_application = system_exit_exits_application
         # Feature 1: the end of an application "should not necessarily
         # cause the JVM to exit" — VM lifetime is managed by the launcher.

@@ -325,6 +325,8 @@ class RingPipe:
         self.reader_closed = False
         self.wakeups = 0
         self.suppressed_wakeups = 0
+        #: Bytes handed to a consumer by ``drain_into`` without a copy;
+        #: ``read``/``read_line`` copy and are counted in ``copies``.
         self.zero_copy_bytes = 0
         self.copies = 0
         self._folded = None
@@ -415,7 +417,6 @@ class RingPipe:
             chunk = b"".join((self._view[i:], self._view[:end - self._size]))
             self.copies += 2
         self._head = head + n
-        self.zero_copy_bytes += n
         return chunk
 
     def _find_newline(self, n: int) -> int:
@@ -553,7 +554,6 @@ class PipedInputStream(InputStream):
                     continue
                 pieces.append(pipe._take(n))
                 pipe._head += 1  # the terminator, consumed uncopied
-                pipe.zero_copy_bytes += 1
                 pipe._consumed(used)
                 return b"".join(pieces)
 

@@ -157,6 +157,10 @@ class ProcFileSystem:
             f"{int(metrics.total('security.cache.invalidation'))}",
             f"security.cache.interned_domains\t"
             f"{self._interned_domain_count()}",
+            f"security.auth.derive\t"
+            f"{int(metrics.total('security.auth.derive'))}",
+            f"security.auth.cache_hit\t"
+            f"{int(metrics.total('security.auth.cache_hit'))}",
         ]
         ring = self._ring_snapshot()
         lines.extend([

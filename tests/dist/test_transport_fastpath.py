@@ -250,3 +250,32 @@ class TestWireFormat:
         endpoint.close()
         assert authentications == []
         assert metrics.total("apps.launched") == launched_before
+
+
+class TestVerifiedCredentials:
+    def test_pooled_execs_derive_once_and_see_disable_next(self, pair):
+        """Twenty execs as alice over one pooled channel pay PBKDF2 once;
+        disabling alice on B refuses the very next exec unlaunched."""
+        mvm_a, mvm_b, __ = pair
+        metrics = mvm_b.vm.telemetry.metrics
+        derives_before = metrics.total("security.auth.derive")
+        with mvm_a.host_session():
+            ctx = mvm_a.initial.context()
+            pool = pool_for(mvm_a.vm)
+            for index in range(20):
+                remote = rexec(ctx, "tools.Echo", [str(index)])
+                assert remote.wait_for(10) == 0
+                assert remote.output_text() == f"{index}\n"
+            assert pool.stats()["misses"] == 1
+            assert pool.stats()["hits"] == 19
+            assert metrics.total("security.auth.derive") \
+                == derives_before + 1
+            assert metrics.total("security.auth.cache_hit") >= 19
+
+            mvm_b.vm.user_database.disable("alice")
+            launched_before = metrics.total("apps.launched")
+            refused = rexec(ctx, "tools.Echo", ["never"])
+            with pytest.raises(RemoteException):
+                refused.wait_for(10)
+        assert pool.stats()["hits"] == 20
+        assert metrics.total("apps.launched") == launched_before

@@ -261,7 +261,18 @@ class TestCopyAccounting:
         drained = reader.drain_into(lambda segments: None)
         assert drained == 4096
         assert pipe.copies == after_write
-        assert pipe.zero_copy_bytes >= 4096
+        assert pipe.zero_copy_bytes == 4096
+
+    def test_plain_reads_are_not_zero_copy(self):
+        reader, writer = make_pipe()
+        pipe = reader._pipe
+        writer.write(b"line one\nline two\n" + b"z" * 300)
+        assert reader.read_line() == b"line one"
+        assert reader.read_line() == b"line two"
+        assert len(reader.read(100)) == 100
+        assert pipe.zero_copy_bytes == 0
+        reader.drain_into(lambda segments: None)
+        assert pipe.zero_copy_bytes == 200
 
     def test_stats_fold_into_module_totals_at_close(self):
         RING_STATS.reset()

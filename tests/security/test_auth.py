@@ -77,6 +77,18 @@ class TestAuthentication:
             db.authenticate("alice", "wonderland")
         assert db.authenticate("alice", "newpass")
 
+    def test_trailing_nul_is_not_the_password(self, db):
+        """PBKDF2-HMAC zero-pads its key, so "pw" and "pw\\0" must not
+        reach it as keys of different lengths."""
+        for guess in ("wonderland\x00", "wonderland\x00\x00"):
+            with pytest.raises(AuthenticationException):
+                db.authenticate("alice", guess)
+        assert db.authenticate("alice", "wonderland")
+        db.add_user("bob", "builder\x00")
+        with pytest.raises(AuthenticationException):
+            db.authenticate("bob", "builder")
+        assert db.authenticate("bob", "builder\x00")
+
     def test_disabled_account(self, db):
         db.disable("alice")
         with pytest.raises(AuthenticationException):

@@ -4,17 +4,26 @@ The fast path memoizes at three layers (policy resolution, per-domain
 decisions, the walk's identity dedupe); the invariant these tests pin
 down is that *no stale grant is ever honored*: any check beginning after
 ``refresh_from``/``add_grant``/``setUser`` completes sees the new truth
-on its very first walk — epoch validation, never TTLs.
+on its very first walk — epoch validation, never TTLs.  The same holds
+for the user database's verified-credential tag: the call after
+``set_password``/``disable``/a re-created account sees the new truth.
 """
 
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.execspec import ExecSpec
 from repro.io.file import read_text
-from repro.jvm.errors import AccessControlException, IllegalArgumentException
+from repro.jvm.errors import (
+    AccessControlException,
+    AuthenticationException,
+    IllegalArgumentException,
+)
 from repro.security import access, cache
+from repro.security.auth import UserDatabase
 from repro.security.codesource import CodeSource, ProtectionDomain
 from repro.security.permissions import (
     FilePermission,
@@ -23,6 +32,7 @@ from repro.security.permissions import (
     SocketPermission,
 )
 from repro.security.policy import parse_policy
+from repro.telemetry.metrics import MetricsRegistry
 
 READ_ALICE = FilePermission("/home/alice/notes.txt", "read")
 
@@ -101,6 +111,119 @@ class TestPolicyEpoch:
                 policy.refresh_from(REVOKED)
                 with pytest.raises(AccessControlException):
                     access.check_permission(READ_ALICE)
+
+
+def warm_database(max_failed_attempts=0):
+    """A database whose alice has passed PBKDF2 once (tag set)."""
+    database = UserDatabase(max_failed_attempts=max_failed_attempts)
+    metrics = MetricsRegistry()
+    database.bind_telemetry(metrics)
+    database.add_user("alice", "wonderland")
+    database.authenticate("alice", "wonderland")    # PBKDF2, sets the tag
+    database.authenticate("alice", "wonderland")    # served from the tag
+    assert metrics.total("security.auth.derive") == 1
+    assert metrics.total("security.auth.cache_hit") == 1
+    return database, metrics
+
+
+NEAR_MISSES = ["", "wonderland ", " wonderland", "Wonderland", "wonderlan",
+               "wonderland\x00", "wonderlandwonderland"]
+
+
+class TestCredentialCache:
+    def test_set_password_seen_by_next_call(self):
+        database, metrics = warm_database()
+        database.set_password("alice", "looking-glass")
+        with pytest.raises(AuthenticationException):
+            database.authenticate("alice", "wonderland")
+        assert database.authenticate("alice", "looking-glass").name \
+            == "alice"
+
+    def test_disable_seen_by_next_call(self):
+        database, metrics = warm_database()
+        database.disable("alice")
+        with pytest.raises(AuthenticationException):
+            database.authenticate("alice", "wonderland")
+        assert metrics.total("security.auth.cache_hit") == 1
+
+    def test_recreated_account_starts_cold(self):
+        database, metrics = warm_database()
+        database.remove_user("alice")
+        database.add_user("alice", "looking-glass")
+        with pytest.raises(AuthenticationException):
+            database.authenticate("alice", "wonderland")
+        assert database.authenticate("alice", "looking-glass").name \
+            == "alice"
+
+    def test_wrong_passwords_still_lock_a_warm_account(self):
+        database, metrics = warm_database(max_failed_attempts=3)
+        for _ in range(3):
+            with pytest.raises(AuthenticationException):
+                database.authenticate("alice", "guess")
+        # Every wrong guess paid PBKDF2, and the lockout holds against
+        # the password whose tag is still cached.
+        assert metrics.total("security.auth.derive") == 1 + 3
+        with pytest.raises(AuthenticationException):
+            database.authenticate("alice", "wonderland")
+
+    def test_cache_hit_resets_failure_count(self):
+        database, metrics = warm_database(max_failed_attempts=3)
+        for _ in range(2):
+            with pytest.raises(AuthenticationException):
+                database.authenticate("alice", "guess")
+        database.authenticate("alice", "wonderland")
+        for _ in range(2):
+            with pytest.raises(AuthenticationException):
+                database.authenticate("alice", "guess")
+        assert database.authenticate("alice", "wonderland").name == "alice"
+
+    def test_concurrent_checks_derive_once_per_wrong_guess(self):
+        """Threads share one account: every right password after the
+        warm-up is a tag hit, every wrong one derives, none is lost."""
+        database, metrics = warm_database()
+        failures = []
+
+        def worker(index):
+            for round_ in range(40):
+                if (index + round_) % 4 == 0:
+                    try:
+                        database.authenticate("alice", f"guess-{index}")
+                        failures.append("wrong password accepted")
+                    except AuthenticationException:
+                        pass
+                elif database.authenticate("alice", "wonderland").name \
+                        != "alice":
+                    failures.append("wrong user")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(index,))
+                       for index in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(previous)
+        assert failures == []
+        assert metrics.total("security.auth.derive") == 1 + 6 * 10
+        assert metrics.total("security.auth.cache_hit") == 1 + 6 * 30
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.text(max_size=24),
+                              st.sampled_from(NEAR_MISSES),
+                              st.just("wonderland")),
+                    max_size=6))
+    def test_only_the_right_password_is_accepted(self, guesses):
+        database, __ = warm_database()
+        for guess in guesses:
+            if guess == "wonderland":
+                assert database.authenticate("alice", guess).name == "alice"
+            else:
+                with pytest.raises(AuthenticationException):
+                    database.authenticate("alice", guess)
 
 
 class TestUserPathCoherence:
@@ -360,3 +483,18 @@ class TestCacheTelemetry:
         policy.add_grant([RuntimePermission("probe")],
                          code_base="file:/probe/*")
         assert metrics.total("security.cache.invalidation") == before + 1
+
+    def test_auth_counters_reach_the_vm_registry_and_vmstat(self, host):
+        database = host.vm.user_database
+        metrics = host.vm.telemetry.metrics
+        hits_before = metrics.total("security.auth.cache_hit")
+        database.authenticate("alice", "wonderland")
+        database.authenticate("alice", "wonderland")
+        assert metrics.total("security.auth.derive") >= 1
+        assert metrics.total("security.auth.cache_hit") >= hits_before + 1
+        vmstat = read_text(host.initial.context(), "/proc/vmstat")
+        values = dict(line.split("\t") for line in vmstat.splitlines())
+        assert int(values["security.auth.derive"]) \
+            == metrics.total("security.auth.derive")
+        assert int(values["security.auth.cache_hit"]) \
+            == metrics.total("security.auth.cache_hit")
