@@ -49,23 +49,28 @@ def record_bench(area: str, entry: dict) -> pathlib.Path:
     return path
 
 
-def bench_baseline(area: str, metric: str, smoke_key: str = "smoke",
+def bench_baseline(area: str, bench: str | tuple[str, ...], metric: str,
+                   smoke_key: str = "smoke",
                    best: str = "min") -> float | None:
-    """The best non-smoke value of ``metric`` on record.
+    """The best non-smoke value of ``metric`` on record for ``bench``.
 
-    ``best`` picks the sense of "best": ``"min"`` for latency-style
-    metrics (seconds, allocations), ``"max"`` for throughput-style ones
-    (MB/s, lines/s, events/s) — regression gates compare new runs
-    against the strongest recorded baseline in the metric's own
-    direction.
+    Only rows whose ``bench`` label is ``bench`` (or one of a tuple of
+    labels, for a series that was renamed) count, so another series that
+    records the same key never becomes this gate's baseline.  ``best``
+    picks the sense of "best": ``"min"`` for latency-style metrics
+    (seconds, allocations), ``"max"`` for throughput-style ones (MB/s,
+    lines/s, events/s) — regression gates compare new runs against the
+    strongest recorded baseline in the metric's own direction.
     """
+    labels = (bench,) if isinstance(bench, str) else bench
     path = REPO_ROOT / f"BENCH_{area}.json"
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
     values = [run[metric] for run in payload.get("runs", [])
-              if metric in run and not run.get(smoke_key)]
+              if run.get("bench") in labels and metric in run
+              and not run.get(smoke_key)]
     if not values:
         return None
     return max(values) if best == "max" else min(values)

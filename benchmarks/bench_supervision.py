@@ -119,4 +119,4 @@ def test_bench_admission_shedding(benchmark, bench_mvm):
     per_shed_us = benchmark.stats.stats.mean / max(BENCH_N, 1) * 1e6
     print(banner("S3: admission shedding cost when saturated"))
     print(f"amortized per rejection: {per_shed_us:8.2f} us")
-    assert controller.rejected >= BENCH_N
+    assert controller.stats()["rejected"] >= BENCH_N

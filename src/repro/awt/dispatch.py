@@ -159,6 +159,12 @@ class EventDispatchThread:
         self.thread.join(timeout)
 
 
+#: The dispatch counters (labelled per application when bumped); the
+#: toolkit creates them at boot so /proc/vmstat lists them from the start.
+DISPATCH_COUNTERS = ("awt.events.dispatched", "awt.dispatch.batched",
+                     "awt.repaint.coalesced")
+
+
 class Dispatcher:
     """Common dispatcher interface used by the toolkit."""
 

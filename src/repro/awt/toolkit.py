@@ -21,6 +21,7 @@ from typing import Optional
 
 from repro.awt.components import Window
 from repro.awt.dispatch import (
+    DISPATCH_COUNTERS,
     CentralizedDispatcher,
     Dispatcher,
     PerApplicationDispatcher,
@@ -70,6 +71,8 @@ class Toolkit:
         self._lock = threading.RLock()
         #: Where the X thread was created (observable for the F6 tests).
         self.x_thread_group = None
+        for name in DISPATCH_COUNTERS:
+            vm.telemetry.metrics.counter(name)
         vm.toolkit = self
 
     # -- the X connection thread (started on demand, Section 5.4) --------------------

@@ -329,10 +329,8 @@ class Cluster:
         Runs before the re-placement callback so a failover launch never
         draws a parked connection to the very node that just died.
         """
-        from repro.dist.pool import existing_pool
-        pool = existing_pool(self.vm)
-        if pool is not None:
-            pool.invalidate(node.name)
+        from repro.dist.pool import pool_for
+        pool_for(self.vm).invalidate(node.name)
 
     def _replace_orphans(self, node) -> None:
         """Death callback: move every launch stranded on ``node``.

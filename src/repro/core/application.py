@@ -780,6 +780,14 @@ class ApplicationRegistry:
         #: Synthetic root application: the context the VM launcher itself
         #: runs in (the "null user for bootstrapping" of Section 5.2).
         self.initial: Optional[Application] = None
+        # The lifecycle series (per-application ones get an ``app``
+        # label when bumped), listed in /proc/vmstat from boot.
+        metrics = vm.telemetry.metrics
+        for name in ("apps.launched", "apps.reaped", "app.threads.started",
+                     "limits.rejected"):
+            metrics.counter(name)
+        metrics.gauge("apps.live")
+        metrics.gauge("app.threads.live")
 
     def start(self) -> "ApplicationRegistry":
         self._reaper = JThread(target=self._reaper_body,

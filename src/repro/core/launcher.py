@@ -272,6 +272,8 @@ class MultiProcVM:
         from repro.net.fabric import NetworkFabric
         vm.network = network if network is not None else NetworkFabric()
         vm.network.add_host(vm.machine.hostname)
+        from repro.dist.pool import pool_for
+        pool_for(vm)
         vm.policy = policy if policy is not None \
             else parse_policy(DEFAULT_POLICY)
         vm.boot_loader.policy = vm.policy

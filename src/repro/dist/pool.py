@@ -3,7 +3,10 @@
 The rexec daemon keeps a connection open after the exit frame, so the
 next remote launch / ``Cluster.exec`` / heartbeat to the same
 ``host:port`` can skip connection establishment entirely.  The pool is
-per-VM (``vm.dist_pool``) and keyed by ``(host, port)``.
+per-VM (``vm.dist_pool``, created at boot) and keyed by ``(host, port)``.
+It counts into the VM's registry: ``dist.pool.{hit,miss,released,
+evicted}`` as counters and the idle depth as the collected
+``dist.pool.idle``.
 
 Security and ownership semantics are deliberately unchanged:
 
@@ -28,7 +31,7 @@ import threading
 from collections import deque
 from typing import Optional
 
-from repro.dist.protocol import FrameChannel
+from repro.dist.protocol import FRAME_COUNTERS, FrameChannel
 from repro.jvm.errors import IllegalStateException
 from repro.super import faults
 
@@ -71,16 +74,19 @@ class ChannelPool:
 
     def __init__(self, vm, max_idle_per_key: int = MAX_IDLE_PER_KEY):
         self.vm = vm
-        self.metrics = vm.telemetry.metrics
         self.max_idle_per_key = max_idle_per_key
         self._idle: dict[tuple[str, int], deque[PooledChannel]] = {}
         self._lock = threading.Lock()
-        # Cumulative totals mirrored into metrics; kept here too so
-        # /proc/dist/transport can render without scanning time series.
-        self.hits = 0
-        self.misses = 0
-        self.evicted = 0
-        self.released = 0
+        metrics = vm.telemetry.metrics
+        self._hits = metrics.counter("dist.pool.hit")
+        self._misses = metrics.counter("dist.pool.miss")
+        self._released = metrics.counter("dist.pool.released")
+        self._evicted = metrics.counter("dist.pool.evicted")
+        # The frame counters live in the protocol; creating them with the
+        # pool lists them (at 0) in /proc/dist/transport from boot.
+        for name in FRAME_COUNTERS:
+            metrics.counter(name)
+        metrics.collect(self.collect)
 
     # -- checkout --------------------------------------------------------------
 
@@ -111,14 +117,12 @@ class ChannelPool:
                 if pooled is None:
                     break
                 if pooled.channel.healthy():
-                    self.hits += 1
-                    self.metrics.counter("dist.pool.hit").inc()
+                    self._hits.inc()
                     pooled.uses += 1
                     pooled.reused = True
                     return pooled
                 self._evict(pooled)
-        self.misses += 1
-        self.metrics.counter("dist.pool.miss").inc()
+        self._misses.inc()
         return self._connect(ctx, host, port)
 
     def _connect(self, ctx, host: str, port: int) -> PooledChannel:
@@ -147,12 +151,10 @@ class ChannelPool:
         if overflow:
             self._evict(pooled)
         else:
-            self.released += 1
-            self.metrics.counter("dist.pool.released").inc()
+            self._released.inc()
 
     def _evict(self, pooled: PooledChannel) -> None:
-        self.evicted += 1
-        self.metrics.counter("dist.pool.evicted").inc()
+        self._evicted.inc()
         pooled.close()
 
     # -- invalidation ----------------------------------------------------------
@@ -175,17 +177,11 @@ class ChannelPool:
 
     # -- introspection ---------------------------------------------------------
 
-    def idle_counts(self) -> dict[str, int]:
+    def collect(self) -> dict:
+        """The idle depth, for the VM's metrics registry."""
         with self._lock:
-            return {f"{host}:{port}": len(idle)
-                    for (host, port), idle in sorted(self._idle.items())}
-
-    def stats(self) -> dict:
-        with self._lock:
-            idle_total = sum(len(d) for d in self._idle.values())
-        return {"hits": self.hits, "misses": self.misses,
-                "evicted": self.evicted, "released": self.released,
-                "idle": idle_total}
+            return {"dist.pool.idle":
+                    sum(len(idle) for idle in self._idle.values())}
 
 
 def pool_for(vm) -> ChannelPool:
@@ -194,8 +190,3 @@ def pool_for(vm) -> ChannelPool:
     if pool is None:
         pool = vm.dist_pool = ChannelPool(vm)
     return pool
-
-
-def existing_pool(vm) -> Optional[ChannelPool]:
-    """The VM's pool if one has ever been created (procfs reads this)."""
-    return getattr(vm, "dist_pool", None)

@@ -59,6 +59,13 @@ COALESCE_THRESHOLD = 4096
 COALESCE_MAX_LATENCY = 0.05
 
 
+#: The transport's VM-wide counters (``dist.frames.sent`` and
+#: ``.received`` carry a ``type`` label per frame kind).
+FRAME_COUNTERS = ("dist.frames.sent", "dist.frames.received",
+                  "dist.frames.coalesced", "dist.bytes.sent",
+                  "dist.bytes.received")
+
+
 def _count_sent(frame_type: str, nbytes: int) -> None:
     metrics = current_hub().metrics
     metrics.counter("dist.frames.sent", type=frame_type).inc()

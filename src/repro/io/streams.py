@@ -259,6 +259,11 @@ class _RingTotals:
                 "zero_copy_bytes": self.zero_copy_bytes,
                 "copies": self.copies}
 
+    def collect(self) -> dict:
+        """The totals as ``ipc.ring.*``, for a VM's metrics registry."""
+        return {f"ipc.ring.{key}": value
+                for key, value in self.snapshot().items()}
+
 
 #: Module-wide ring-pipe counters, surfaced by ``/proc/ipc/ring`` and the
 #: ``ipc.ring.*`` vmstat lines.

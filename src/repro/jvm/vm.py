@@ -21,6 +21,7 @@ import threading
 from typing import Callable, Optional
 
 from repro.io.streams import (
+    RING_STATS,
     ByteArrayOutputStream,
     InputStream,
     NullInputStream,
@@ -69,6 +70,9 @@ class VirtualMachine:
         self.machine = os_context.machine
         #: Always-on observability: metrics, tracer, and the audit log.
         self.telemetry = TelemetryHub(f"vm-{os_context.pid}")
+        self.telemetry.metrics.collect(self._sched_metrics)
+        # Process-wide totals (every VM in the process shows the same).
+        self.telemetry.metrics.collect(RING_STATS.collect)
 
         self.stdin: InputStream = stdin or os_context.stdin \
             or NullInputStream()
@@ -232,9 +236,16 @@ class VirtualMachine:
             if self.scheduler is None or not self.scheduler.running:
                 from repro.sched import Scheduler
                 self.scheduler = Scheduler(
-                    name=f"sched-{self.os_context.pid}",
-                    telemetry=self.telemetry)
+                    name=f"sched-{self.os_context.pid}")
             return self.scheduler.start()
+
+    def _sched_metrics(self) -> dict:
+        """``sched.*`` for the metrics registry, read from the loop's own
+        counters (all 0 before the loop first starts)."""
+        from repro.sched import Scheduler
+        scheduler = self.scheduler or Scheduler()
+        return {f"sched.{key}": int(value)
+                for key, value in scheduler.stats().items()}
 
     # -- thread accounting (Figure 1) -----------------------------------------------
 

@@ -274,9 +274,8 @@ class Scheduler:
     ``threading.Event`` until the next timer deadline or submission.
     """
 
-    def __init__(self, name: str = "sched", telemetry=None):
+    def __init__(self, name: str = "sched"):
         self.name = name
-        self.telemetry = telemetry
         self._ready: deque = deque()
         self._timers: list = []
         self._timer_seq = itertools.count()
@@ -289,8 +288,8 @@ class Scheduler:
         self._stopping = False
         self._stopped = threading.Event()
         self._current: Optional[Task] = None
-        # Plain-int hot-path counters; surfaced via /proc/sched and
-        # vmstat.  Only spawn/finish touch the (locked) metrics registry.
+        # Plain-int hot-path counters: the VM's metrics registry reads
+        # them through stats() (``sched.*`` in /proc/sched and vmstat).
         self.switches = 0
         self.spawned = 0
         self.completed = 0
@@ -378,10 +377,6 @@ class Scheduler:
             self._external.append((task, None, None))
             self.spawned += 1
         self._wakeup.set()
-        if self.telemetry is not None:
-            metrics = self.telemetry.metrics
-            metrics.counter("sched.tasks.spawned").inc()
-            metrics.gauge("sched.tasks.live").set(len(self._live))
         return task
 
     # -- cross-thread wakeups ------------------------------------------------
@@ -638,10 +633,6 @@ class Scheduler:
                 callback(task)
             except BaseException:  # noqa: BLE001 - loop survives
                 self.task_errors += 1
-        if self.telemetry is not None:
-            metrics = self.telemetry.metrics
-            metrics.counter("sched.tasks.completed").inc()
-            metrics.gauge("sched.tasks.live").set(len(self._live))
 
     def _cancel_all(self) -> None:
         """Teardown: ThreadDeath into every remaining frame, hooks run."""

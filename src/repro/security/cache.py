@@ -68,7 +68,7 @@ class CacheCounters:
     """
 
     __slots__ = ("policy_hit", "policy_miss", "domain_hit", "domain_miss",
-                 "invalidation", "interned")
+                 "invalidation")
 
     def __init__(self, metrics=None):
         self.rebind(metrics if metrics is not None else GLOBAL_HUB.metrics)
@@ -83,7 +83,6 @@ class CacheCounters:
         self.domain_miss = metrics.counter("security.cache.miss",
                                            layer="domain")
         self.invalidation = metrics.counter("security.cache.invalidation")
-        self.interned = metrics.gauge("security.cache.interned_domains")
 
 
 #: Fallback bundle for protection domains that have no (epoch-capable)

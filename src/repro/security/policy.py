@@ -134,9 +134,17 @@ class Policy:
         Called by the launcher once the policy is installed on a VM, so
         ``/proc/vmstat`` and ``/proc/security/cache`` see the live values.
         The counter bundle mutates in place: domains that already captured
-        it keep counting into the new registry.
+        it keep counting into the new registry.  The registry also reads
+        the epoch and the intern table's size through :meth:`collect`.
         """
         self.cache_counters.rebind(metrics)
+        metrics.collect(self.collect)
+
+    def collect(self) -> dict:
+        """The epoch and intern-table size, for a VM's metrics registry."""
+        return {"security.cache.interned_domains":
+                self.interned_domain_count(),
+                "security.cache.policy_epoch": self._epoch}
 
     # -- programmatic construction ------------------------------------------------
 
@@ -264,8 +272,6 @@ class Policy:
                     code_source, policy=self,
                     name=name or (code_source.url if code_source else ""))
                 self._interned_domains[code_source] = domain
-                self.cache_counters.interned.set(
-                    len(self._interned_domains))
         return domain
 
     def interned_domain_count(self) -> int:

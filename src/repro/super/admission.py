@@ -124,15 +124,11 @@ class AdmissionController:
         self._running_by_user: dict[str, int] = {}
         self._queue: list[_Waiter] = []
         self._user_quotas: dict[str, AdmissionPolicy] = {}
-        # Cumulative totals mirrored into metrics; kept here too so
-        # /proc/super/admission renders without scanning time series.
-        self.admitted = 0
-        self.rejected = 0
-        self.queued_ever = 0
 
     def install(self) -> "AdmissionController":
         """Attach to the VM: the exec path consults ``vm.admission``."""
         self.vm.admission = self
+        self.metrics.collect(self.collect)
         return self
 
     def set_user_quota(self, user: str,
@@ -173,12 +169,10 @@ class AdmissionController:
         self._running_total += 1
         self._running_by_user[user] = \
             self._running_by_user.get(user, 0) + 1
-        self.admitted += 1
         return AdmissionTicket(self, user)
 
     def _reject(self, user: str, reason: str,
                 detail: str) -> AdmissionRejected:
-        self.rejected += 1
         self.metrics.counter("admission.rejected", reason=reason,
                              user=user).inc()
         return AdmissionRejected(
@@ -198,7 +192,6 @@ class AdmissionController:
             if self._fits(user):
                 ticket = self._admit_locked(user)
                 self.metrics.counter("admission.admitted", user=user).inc()
-                self._publish_gauges()
                 return ticket
             # Saturated.  Quota-limited users shed with their own reason
             # even when they are willing to wait: their bound does not
@@ -227,9 +220,7 @@ class AdmissionController:
                         f"user queue quota reached ({queued_bound})")
             waiter = _Waiter(user)
             self._queue.append(waiter)
-            self.queued_ever += 1
             self.metrics.counter("admission.queued", user=user).inc()
-            self._publish_gauges()
             deadline = self._clock() + timeout
             try:
                 while not waiter.granted:
@@ -246,7 +237,6 @@ class AdmissionController:
                     waiter.abandoned = True
                     if waiter in self._queue:
                         self._queue.remove(waiter)
-                self._publish_gauges()
             self.metrics.counter("admission.admitted", user=user).inc()
             return AdmissionTicket(self, user)
 
@@ -259,7 +249,6 @@ class AdmissionController:
             else:
                 self._running_by_user.pop(user, None)
             self._grant_waiters_locked()
-            self._publish_gauges()
 
     def _grant_waiters_locked(self) -> None:
         """FIFO scan: grant every waiter that now fits.
@@ -279,22 +268,26 @@ class AdmissionController:
         if granted_any:
             self._cond.notify_all()
 
-    def _publish_gauges(self) -> None:
-        self.metrics.gauge("admission.running").set(self._running_total)
-        self.metrics.gauge("admission.waiting").set(len(self._queue))
-
     # -- introspection (procfs reads this) -------------------------------------
 
-    def stats(self) -> dict:
+    def collect(self) -> dict:
+        """The live queue, for the VM's metrics registry."""
         with self._cond:
-            return {
+            return {"admission.running": self._running_total,
+                    "admission.waiting": len(self._queue)}
+
+    def stats(self) -> dict:
+        total = self.metrics.total
+        with self._cond:
+            stats = {
                 "running": self._running_total,
                 "waiting": len(self._queue),
-                "admitted": self.admitted,
-                "rejected": self.rejected,
-                "queued_ever": self.queued_ever,
                 "by_user": dict(sorted(self._running_by_user.items())),
             }
+        stats["admitted"] = int(total("admission.admitted"))
+        stats["rejected"] = int(total("admission.rejected"))
+        stats["queued_ever"] = int(total("admission.queued"))
+        return stats
 
     def render_text(self) -> str:
         stats = self.stats()

@@ -73,8 +73,7 @@ class TelemetryHub:
         self.tracer = Tracer(name)
         self.audit = AuditLog(audit_capacity if audit_capacity is not None
                               else AUDIT_CAPACITY)
-        self.audit.bind_drop_counter(
-            self.metrics.counter("security.audit.dropped"))
+        self.metrics.collect(self.audit.collect)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"TelemetryHub({self.name!r}, metrics={len(self.metrics)}, "

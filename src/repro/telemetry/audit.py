@@ -11,7 +11,8 @@ running user of the current application, and the grant/deny outcome.
 The log is bounded (a ring of :data:`AUDIT_CAPACITY` records, adjustable
 per deployment via :meth:`AuditLog.set_capacity`) so an always-on
 deployment cannot leak memory; overwrites are counted in
-:attr:`AuditLog.dropped` and, when bound, a metrics counter.  Within the
+:attr:`AuditLog.dropped`, which the VM's metrics registry reads through
+:meth:`AuditLog.collect` as ``security.audit.dropped``.  Within the
 window it is strictly append-only: nothing in the kernel mutates or
 removes records.  ``deque.append`` is atomic under the GIL, so recording
 takes no lock on the hot path; only the grant/deny counters tolerate
@@ -100,7 +101,6 @@ class AuditLog:
         self.denies = 0
         #: Records the ring overwrote (oldest-first eviction).
         self.dropped = 0
-        self._drop_counter = None
         #: Immutable tuple, swapped wholesale on (rare) mutation so the
         #: hot recording path iterates without a lock.
         self._listeners: tuple = ()
@@ -114,10 +114,6 @@ class AuditLog:
     def set_capacity(self, capacity: int) -> None:
         """Re-bound the ring, keeping the newest records."""
         self._records = deque(self._records, maxlen=capacity)
-
-    def bind_drop_counter(self, counter) -> None:
-        """Mirror ring overwrites into a metrics counter."""
-        self._drop_counter = counter
 
     # -- listeners --------------------------------------------------------------
 
@@ -178,9 +174,6 @@ class AuditLog:
         records = self._records
         if records.maxlen is not None and len(records) == records.maxlen:
             self.dropped += 1
-            counter = self._drop_counter
-            if counter is not None:
-                counter.inc()
         records.append(entry)
         if granted:
             self.grants += 1
@@ -223,6 +216,12 @@ class AuditLog:
             return len(records)
         with open(target, "w", encoding="utf-8") as sink:
             return self.export_jsonl(sink, **filters)
+
+    def collect(self) -> dict:
+        """The decision counts, for the VM's metrics registry."""
+        return {"security.grants": self.grants,
+                "security.denies": self.denies,
+                "security.audit.dropped": self.dropped}
 
     def __len__(self) -> int:
         return len(self._records)

@@ -15,15 +15,21 @@ Design constraints, in order:
    limit="max_threads")`` and the same counter for another application are
    distinct time series — which is what lets ``/proc/<app-id>/metrics``
    show only the owning application's slice.
-3. **Readable anywhere.**  :meth:`MetricsRegistry.snapshot` and
-   :meth:`MetricsRegistry.render_text` produce stable, sorted output for
+3. **Readable anywhere.**  :meth:`MetricsRegistry.snapshot`,
+   :meth:`MetricsRegistry.render_text` and
+   :meth:`MetricsRegistry.render_totals` produce stable, sorted output for
    the ``/proc`` files and the ``vmstat`` coreutil.
+4. **One copy of each fact.**  A subsystem that already keeps a hot
+   counter as a plain int (the scheduler's switches, the audit log's
+   grant count) does not mirror it into a series: it registers a collect
+   callback once per VM (:meth:`MetricsRegistry.collect`), and every read
+   asks it for ``{name: value}``.  The owner's hot path pays nothing.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 #: Default histogram bucket upper bounds, in seconds (latency-oriented).
 DEFAULT_BUCKETS: tuple[float, ...] = (
@@ -129,11 +135,14 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram`` are get-or-create and return stable
     objects, so hot call sites may cache the result and skip even the dict
-    lookup.
+    lookup.  Collected values (:meth:`collect`) are read alongside the
+    series; they carry no labels and are not series (``len`` counts only
+    series).
     """
 
     def __init__(self):
         self._metrics: dict = {}
+        self._collectors: tuple = ()
         self._lock = threading.Lock()
 
     def _get(self, cls, name: str, labels: dict, extra=None):
@@ -164,7 +173,20 @@ class MetricsRegistry:
                   **labels) -> Histogram:
         return self._get(Histogram, name, labels, extra=bounds)
 
+    def collect(self, callback: Callable[[], dict]) -> None:
+        """Publish values an owner keeps itself: ``callback()`` returns
+        ``{name: value}`` and runs on every read, never on the owner's
+        hot path.  Register once per owner and VM, not per app or task."""
+        with self._lock:
+            self._collectors = self._collectors + (callback,)
+
     # -- read side -----------------------------------------------------------
+
+    def _collected(self) -> dict:
+        values: dict = {}
+        for callback in self._collectors:
+            values.update(callback())
+        return values
 
     def _matching(self, match: dict) -> list:
         with self._lock:
@@ -175,8 +197,14 @@ class MetricsRegistry:
         return [m for m in metrics if wanted.issubset(m.labels)]
 
     def snapshot(self, **match) -> list[dict]:
-        """Describe all metrics whose labels are a superset of ``match``."""
+        """Describe all metrics whose labels are a superset of ``match``;
+        collected values (no labels) match only an empty ``match``."""
         described = [m.describe() for m in self._matching(match)]
+        if not match:
+            described.extend(
+                {"kind": "collected", "name": name, "labels": {},
+                 "value": value}
+                for name, value in self._collected().items())
         described.sort(key=lambda d: (d["name"], sorted(d["labels"].items())))
         return described
 
@@ -197,10 +225,31 @@ class MetricsRegistry:
                 lines.append(f"{prefix} {_format_value(metric['value'])}")
         return "\n".join(lines) + ("\n" if lines else "")
 
+    def render_totals(self, prefix: str = "") -> str:
+        """``name\\ttotal`` lines, one per counter, gauge or collected name
+        under ``prefix`` (stripped), sorted — the /proc counter files.
+
+        Label sets are summed, so the line count grows with the names in
+        use, never with the applications that use them.
+        """
+        totals: dict = {}
+        for metric in self._matching({}):
+            if metric.kind != "histogram" and metric.name.startswith(prefix):
+                totals[metric.name] = totals.get(metric.name, 0) + metric.value
+        for name, value in self._collected().items():
+            if name.startswith(prefix):
+                totals[name] = totals.get(name, 0) + value
+        return "".join(f"{name[len(prefix):]}\t{_format_value(value)}\n"
+                       for name, value in sorted(totals.items()))
+
     def total(self, name: str, **match) -> float:
-        """Sum of a counter/gauge across matching label sets (rollups)."""
-        return sum(m.value for m in self._matching(match)
-                   if m.name == name and m.kind in ("counter", "gauge"))
+        """Sum of a counter/gauge across matching label sets (rollups),
+        plus the collected value of that name when ``match`` is empty."""
+        value = sum(m.value for m in self._matching(match)
+                    if m.name == name and m.kind in ("counter", "gauge"))
+        if not match:
+            value += self._collected().get(name, 0)
+        return value
 
     def __len__(self) -> int:
         with self._lock:

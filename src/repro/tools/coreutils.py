@@ -310,20 +310,12 @@ vmstat_material = _tool("tools.Vmstat", "Print VM-wide telemetry rollups.")
 
 @vmstat_material.member
 def main(jclass, ctx, args):  # noqa: F811
-    # The same rollup /proc/vmstat serves; going through the file system
-    # exercises the mount (and the FilePermission grant) end to end, with
-    # a direct-hub fallback for VMs booted without the mount.
+    # Exactly `cat /proc/vmstat`: the read goes through the mount and the
+    # caller's FilePermission, so a denied reader is refused here too.
     try:
         ctx.stdout.print(read_text(ctx, "/proc/vmstat"))
-        return 0
-    except (IOException, SecurityException):
-        pass
-    hub = ctx.vm.telemetry
-    ctx.stdout.println(f"apps.live\t{int(hub.metrics.total('apps.live'))}")
-    ctx.stdout.println(
-        f"apps.launched\t{int(hub.metrics.total('apps.launched'))}")
-    ctx.stdout.println(f"security.grants\t{hub.audit.grants}")
-    ctx.stdout.println(f"security.denies\t{hub.audit.denies}")
+    except (IOException, SecurityException) as exc:
+        return _fail(ctx, "vmstat", exc)
     return 0
 
 

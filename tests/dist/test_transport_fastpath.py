@@ -66,9 +66,9 @@ class TestConnectionPool:
             ctx = mvm_a.initial.context()
             remote = rexec(ctx, "tools.Echo", ["one"])
             assert remote.wait_for(10) == 0
-            pool = pool_for(mvm_a.vm)
-            assert pool.stats()["idle"] == 1
-            assert pool.idle_counts() == {f"{HOST_B}:{PORT}": 1}
+            metrics = mvm_a.vm.telemetry.metrics
+            assert metrics.total("dist.pool.idle") == 1
+            assert list(pool_for(mvm_a.vm)._idle) == [(HOST_B, PORT)]
 
     def test_wait_for_returns_after_the_channel_is_parked(self, pair,
                                                           monkeypatch):
@@ -85,21 +85,21 @@ class TestConnectionPool:
         with mvm_a.host_session():
             remote = rexec(mvm_a.initial.context(), "tools.Echo", ["one"])
             assert remote.wait_for(5) == 0
-            assert pool_for(mvm_a.vm).stats()["idle"] == 1
+            assert mvm_a.vm.telemetry.metrics.total("dist.pool.idle") == 1
 
     def test_second_exec_is_a_pool_hit(self, pair):
         mvm_a, __, ___ = pair
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            pool = pool_for(mvm_a.vm)
+            metrics = mvm_a.vm.telemetry.metrics
             first = rexec(ctx, "tools.Echo", ["one"])
             assert first.wait_for(10) == 0
-            assert pool.stats()["idle"] == 1
-            hits_before = pool.stats()["hits"]
+            assert metrics.total("dist.pool.idle") == 1
+            hits_before = metrics.total("dist.pool.hit")
             second = rexec(ctx, "tools.Echo", ["two"])
             assert second.wait_for(10) == 0
         assert second.output_text() == "two\n"
-        assert pool.stats()["hits"] == hits_before + 1
+        assert metrics.total("dist.pool.hit") == hits_before + 1
 
     def test_node_death_invalidates_idle_channels(self, pair):
         mvm_a, mvm_b, __ = pair
@@ -107,8 +107,8 @@ class TestConnectionPool:
             ctx = mvm_a.initial.context()
             warm = rexec(ctx, "tools.Echo", ["warm"])
             assert warm.wait_for(10) == 0
-            pool = pool_for(mvm_a.vm)
-            assert pool.stats()["idle"] == 1
+            metrics = mvm_a.vm.telemetry.metrics
+            assert metrics.total("dist.pool.idle") == 1
             victim = rexec(ctx, "tools.Sleep", ["30"])
             assert victim.wait_for(0.3) is None  # running over there
             # Sever the victim's transport abruptly — the network died,
@@ -119,7 +119,7 @@ class TestConnectionPool:
             assert victim.transport_lost
             # transport_lost dropped the parked channel too: a retry will
             # never be handed a connection to the dead node.
-            assert pool.stats()["idle"] == 0
+            assert metrics.total("dist.pool.idle") == 0
 
     def test_check_connect_applies_to_pool_hits(self, pair):
         """A parked channel never launders connect permission: an
@@ -130,8 +130,8 @@ class TestConnectionPool:
             ctx = mvm_a.initial.context()
             warm = rexec(ctx, "tools.Echo", ["warm"])
             assert warm.wait_for(10) == 0
-            pool = pool_for(mvm_a.vm)
-            assert pool.stats()["idle"] == 1
+            metrics = mvm_a.vm.telemetry.metrics
+            assert metrics.total("dist.pool.idle") == 1
             outcome = {}
 
             def main(jclass, app_ctx, args):
@@ -145,7 +145,8 @@ class TestConnectionPool:
             app = mvm_a.launch(ExecSpec(make_app(mvm_a.vm, "PoolSnoop", main)))
             assert app.wait_for(10) == 0
             assert outcome["result"] == "denied"
-            assert pool.stats()["idle"] == 1  # the denial consumed nothing
+            # the denial consumed nothing
+            assert metrics.total("dist.pool.idle") == 1
 
 
 class TestByteExactOutput:
@@ -261,13 +262,13 @@ class TestVerifiedCredentials:
         derives_before = metrics.total("security.auth.derive")
         with mvm_a.host_session():
             ctx = mvm_a.initial.context()
-            pool = pool_for(mvm_a.vm)
+            pool_metrics = mvm_a.vm.telemetry.metrics
             for index in range(20):
                 remote = rexec(ctx, "tools.Echo", [str(index)])
                 assert remote.wait_for(10) == 0
                 assert remote.output_text() == f"{index}\n"
-            assert pool.stats()["misses"] == 1
-            assert pool.stats()["hits"] == 19
+            assert pool_metrics.total("dist.pool.miss") == 1
+            assert pool_metrics.total("dist.pool.hit") == 19
             assert metrics.total("security.auth.derive") \
                 == derives_before + 1
             assert metrics.total("security.auth.cache_hit") >= 19
@@ -277,5 +278,5 @@ class TestVerifiedCredentials:
             refused = rexec(ctx, "tools.Echo", ["never"])
             with pytest.raises(RemoteException):
                 refused.wait_for(10)
-        assert pool.stats()["hits"] == 20
+        assert pool_metrics.total("dist.pool.hit") == 20
         assert metrics.total("apps.launched") == launched_before

@@ -86,7 +86,8 @@ def test_paint_storm_coalesces():
 
 def test_burst_dispatch_vs_recorded_baseline():
     """Cross-run gate: today's events/s vs the best full-run record."""
-    baseline = bench_baseline("dispatch", "events_s", best="max")
+    baseline = bench_baseline("dispatch", "burst_dispatch", "events_s",
+                              best="max")
     if baseline is None:
         pytest.skip("no non-smoke baseline in BENCH_dispatch.json yet "
                     "(run benchmarks/bench_dispatch.py once)")

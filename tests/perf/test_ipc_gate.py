@@ -61,7 +61,8 @@ def _transfer_mb_s() -> float:
 
 def test_ring_throughput_vs_recorded_baseline():
     """Cross-run gate: today's ring MB/s vs the best full-run record."""
-    baseline_mb_s = bench_baseline("ipc", "ring_mb_s", best="max")
+    baseline_mb_s = bench_baseline("ipc", "chunk_throughput", "ring_mb_s",
+                                  best="max")
     if baseline_mb_s is None:
         pytest.skip("no non-smoke baseline in BENCH_ipc.json yet "
                     "(run benchmarks/bench_ipc_pipes.py once)")

@@ -104,7 +104,7 @@ def test_phase_aware_walk_within_ratio(pristine_phase_state):
 
 def test_cached_walk_vs_recorded_baseline(pristine_phase_state):
     """Cross-run gate: today's cached walk vs the best full-run record."""
-    baseline_us = bench_baseline("security", "cached_us")
+    baseline_us = bench_baseline("security", "cached_vs_cold", "cached_us")
     if baseline_us is None:
         pytest.skip("no non-smoke baseline in BENCH_security.json yet "
                     "(run benchmarks/bench_security.py once)")

@@ -107,7 +107,8 @@ def test_task_vs_thread_switch_within_ratio():
 
 def test_task_switch_throughput_vs_recorded_baseline():
     """Cross-run gate: today's switches/s vs the best full-run record."""
-    baseline = bench_baseline("sched", "task_switches_per_s", best="max")
+    baseline = bench_baseline("sched", "context_switch",
+                              "task_switches_per_s", best="max")
     if baseline is None:
         pytest.skip("no non-smoke baseline in BENCH_sched.json yet "
                     "(run benchmarks/bench_context_switch.py once)")

@@ -468,13 +468,13 @@ class TestCacheTelemetry:
         assert metrics.total("security.cache.miss", layer="domain") >= 1
 
         text = read_text(host.initial.context(), "/proc/security/cache")
-        assert "hits.domain\t" in text
+        assert "hit\t" in text
         assert "interned_domains\t" in text
         assert f"policy_epoch\t{policy.epoch}" in text
 
         vmstat = read_text(host.initial.context(), "/proc/vmstat")
-        assert "security.cache.hits\t" in vmstat
-        assert "security.cache.invalidations\t" in vmstat
+        assert "security.cache.hit\t" in vmstat
+        assert "security.cache.invalidation\t" in vmstat
 
     def test_invalidation_counter_counts_mutations(self, host):
         policy = host.vm.policy

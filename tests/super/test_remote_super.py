@@ -144,4 +144,4 @@ class TestRemoteShedding:
                 remote.wait_for(10)
             assert excinfo.value.reason == "remote"
         # The rejection is recorded on the *target* VM.
-        assert mvm_b.vm.admission.rejected >= 1
+        assert mvm_b.vm.telemetry.metrics.total("admission.rejected") >= 1

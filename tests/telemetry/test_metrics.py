@@ -66,6 +66,24 @@ class TestReadSide:
         text = registry.render_text()
         assert "hits{app=a} 2" in text
 
+    def test_collected_values_join_every_unfiltered_read(self):
+        registry = MetricsRegistry()
+        registry.counter("q.sent", peer="x").inc(2)
+        registry.counter("q.sent", peer="y").inc(3)
+        registry.histogram("q.latency").observe(0.1)
+        owned = {"q.depth": 4}
+        registry.collect(lambda: dict(owned))
+        assert registry.total("q.depth") == 4
+        assert registry.total("q.depth", peer="x") == 0
+        assert "q.depth 4" in registry.render_text()
+        assert "q.depth" not in registry.render_text(peer="x")
+        assert {"kind": "collected", "name": "q.depth", "labels": {},
+                "value": 4} in registry.snapshot()
+        assert len(registry) == 3  # series only
+        owned["q.depth"] = 1  # read on every call, never cached
+        assert registry.render_totals("q.") == "depth\t1\nsent\t5\n"
+        assert registry.render_totals() == "q.depth\t1\nq.sent\t5\n"
+
 
 class TestLimitsRejectedCounter:
     def test_typed_error_and_counter(self, host, register_app):

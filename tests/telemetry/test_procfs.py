@@ -141,16 +141,16 @@ class TestProcSurface:
 
         _, outcome = run_probe(host, register_app, "SchedProbe", body)
         sched, vmstat = outcome["result"]
-        for key in ("running\t", "tasks.live\t", "tasks.spawned\t",
-                    "tasks.completed\t", "switches\t", "timer_fires\t"):
+        for key in ("running\t", "live\t", "spawned\t",
+                    "completed\t", "switches\t", "timer_fires\t"):
             assert key in sched
         fields = dict(line.split("\t") for line
                       in sched.strip().splitlines())
         # Counters render as integers whether or not the VM has booted
         # its loop yet (a plain-callable main stays on an OS thread).
-        assert int(fields["tasks.spawned"]) >= 0
+        assert int(fields["spawned"]) >= 0
         assert int(fields["switches"]) >= 0
-        assert "sched.tasks.live\t" in vmstat
+        assert "sched.live\t" in vmstat
         assert "sched.switches\t" in vmstat
 
     def test_sched_counts_generator_main(self, host, register_app):
@@ -168,8 +168,8 @@ class TestProcSurface:
         fields = dict(line.split("\t") for line
                       in outcome["sched"].strip().splitlines())
         assert fields["running"] == "1"
-        assert int(fields["tasks.spawned"]) >= 1
-        assert int(fields["tasks.live"]) >= 1
+        assert int(fields["spawned"]) >= 1
+        assert int(fields["live"]) >= 1
 
     def test_dist_transport_surface(self, host, register_app):
         """/proc/dist/transport renders frame and pool counters even on a
@@ -181,5 +181,42 @@ class TestProcSurface:
         text = outcome["result"]
         assert "frames.sent\t" in text
         assert "frames.coalesced\t" in text
-        assert "pool.hits\t0" in text
+        assert "pool.hit\t0" in text
         assert "pool.idle\t0" in text
+
+
+def _vmstat(host) -> dict:
+    text = read_text(host.initial.context(), "/proc/vmstat")
+    return dict(line.split("\t") for line in text.splitlines())
+
+
+class TestVmstatRenderer:
+    def test_every_line_is_a_registry_name_and_its_total(self, host):
+        metrics = host.vm.telemetry.metrics
+        app = host.launch(ExecSpec("tools.True", []))
+        assert app.wait_for(10) == 0
+        vmstat = _vmstat(host)
+        names = {described["name"] for described in metrics.snapshot()}
+        assert set(vmstat) <= names
+        for name in ("apps.launched", "sched.spawned", "dist.frames.sent"):
+            assert int(vmstat[name]) == metrics.total(name)
+
+    def test_launches_add_no_lines(self, host):
+        metrics = host.vm.telemetry.metrics
+
+        def launch_one():
+            app = host.launch(ExecSpec("tools.True", []))
+            assert app.wait_for(10) == 0
+
+        def loader_series() -> int:
+            return sum(1 for described in metrics.snapshot()
+                       if described["name"] == "classload.defined")
+
+        launch_one()
+        before = set(_vmstat(host))
+        loaders_before = loader_series()
+        for _ in range(100):
+            launch_one()
+        assert set(_vmstat(host)) == before
+        # ...although each launch added a classload.defined series.
+        assert loader_series() >= loaders_before + 100

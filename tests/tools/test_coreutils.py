@@ -295,3 +295,31 @@ class TestPsLongFormat:
         assert app.wait_for(10) == 0
         assert app.stats["streams"] == 3
         assert app.stats["threads"] == 2  # main + one worker
+
+
+class TestVmstat:
+    def test_vmstat_prints_proc_vmstat(self, host, capture):
+        code, text = run_tool(host, "tools.Vmstat", [], capture)
+        assert code == 0
+        assert "apps.launched\t" in text
+
+    def test_vmstat_is_refused_where_cat_is(self, capture):
+        """Without a grant to read /proc, ``vmstat`` fails exactly like
+        ``cat /proc/vmstat`` and prints no telemetry."""
+        from repro.core.launcher import DEFAULT_POLICY, MultiProcVM
+        from repro.security.policy import parse_policy
+        text = "\n".join(line for line in DEFAULT_POLICY.splitlines()
+                         if 'FilePermission "/proc' not in line)
+        mvm = MultiProcVM.boot(policy=parse_policy(text))
+        try:
+            with mvm.host_session():
+                cat_code, cat_text = run_tool(
+                    mvm, "tools.Cat", ["/proc/vmstat"], capture)
+                code, output = run_tool(mvm, "tools.Vmstat", [], capture)
+        finally:
+            mvm.shutdown()
+        assert cat_code == 1
+        assert "AccessControlException" in cat_text
+        assert code == 1
+        assert "AccessControlException" in output
+        assert "\t" not in output
