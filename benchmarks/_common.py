@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import pathlib
+import platform
+import subprocess
 import time
 
 import pytest
@@ -18,12 +22,56 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH_HISTORY = 200
 
 
+@functools.lru_cache(maxsize=None)
+def _git_sha(root: pathlib.Path) -> str | None:
+    """The checked-out commit of ``root``, or None without git."""
+    try:
+        done = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    sha = done.stdout.strip()
+    return sha if done.returncode == 0 and sha else None
+
+
+def _cpu_ranges(cpus) -> str:
+    """``{0, 1, 2, 5}`` as ``"0-2,5"`` (the ``taskset -c`` form)."""
+    spans: list[list[int]] = []
+    for cpu in sorted(cpus):
+        if spans and cpu == spans[-1][1] + 1:
+            spans[-1][1] = cpu
+        else:
+            spans.append([cpu, cpu])
+    return ",".join(str(a) if a == b else f"{a}-{b}" for a, b in spans)
+
+
+def host_stamp(root: pathlib.Path) -> dict:
+    """The host a bench row was measured on.
+
+    Python version, usable CPUs (``nproc``, i.e. the affinity mask's
+    size, and the mask itself), the machine's CPU count, the platform
+    string, and the git sha of the checkout (None without git).  Rows
+    compare fairly only between equal stamps.
+    """
+    try:
+        affinity = os.sched_getaffinity(0)
+    except AttributeError:  # not Linux: no affinity API
+        affinity = set(range(os.cpu_count() or 1))
+    return {"python": platform.python_version(),
+            "nproc": len(affinity),
+            "affinity": _cpu_ranges(affinity),
+            "cpu_count": os.cpu_count(),
+            "platform": platform.platform(),
+            "git_sha": _git_sha(root)}
+
+
 def record_bench(area: str, entry: dict) -> pathlib.Path:
     """Append one benchmark result to ``BENCH_<area>.json`` at repo root.
 
     The file holds ``{"area": ..., "runs": [...]}`` with the newest run
-    last; each entry is stamped with the wall-clock time so regression
-    gates (``tests/perf``) can compare against the recorded baseline.
+    last; each entry is stamped with the wall-clock time and the
+    :func:`host_stamp` (as ``host``) so regression gates (``tests/perf``)
+    can compare against the recorded baseline.
     Failures to write (read-only checkout) are swallowed: persistence is
     an observability feature, never a reason to fail a bench.  Smoke
     entries (``entry["smoke"]`` true) are not written at all: tiny-N
@@ -40,6 +88,7 @@ def record_bench(area: str, entry: dict) -> pathlib.Path:
             payload = {"area": area, "runs": []}
         stamped = dict(entry)
         stamped["unix_time"] = time.time()
+        stamped["host"] = host_stamp(REPO_ROOT)
         runs = payload.get("runs", [])
         runs.append(stamped)
         payload["runs"] = runs[-BENCH_HISTORY:]

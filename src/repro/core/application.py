@@ -221,12 +221,6 @@ class Application:
         self._non_daemon = 0
         self._threads: list[JThread] = []
         self.main_thread: Optional[JThread] = None
-        #: How this application's continuation-capable threads are backed:
-        #: "sched" (the default — generator mains run as tasks on the
-        #: VM's event loop) or "os" (ExecSpec(threads="os"): the same
-        #: continuation programs run on dedicated OS threads through
-        #: drive_inline).  Plain-callable mains always get an OS thread.
-        self._threads_mode = "sched"
 
         # --- owned resources, torn down by the reaper ---
         self.windows: list = []
@@ -293,7 +287,6 @@ class Application:
         try:
             application = cls(vm, spec.class_name, parent=parent,
                               **spec.state_overrides())
-            application._threads_mode = spec.threads
             if ticket is not None:
                 application.add_exit_hook(ticket.release)
             if spec.phase is not None:
@@ -335,16 +328,13 @@ class Application:
             main_fn = jclass.material.members.get("main")
             main_is_continuation = main_fn is not None \
                 and inspect.isgeneratorfunction(main_fn)
-            backing = None
 
             if main_is_continuation:
                 # Continuation main: the body is itself a generator, so
-                # the JThread facade routes it onto the VM's event loop
-                # (or drives it inline on an OS thread when
-                # ExecSpec(threads="os") asked for one).  The app.main
-                # span is begun/ended explicitly — a ``with`` held
-                # across yields would corrupt the loop thread's
-                # thread-local span nesting.
+                # JThread.start runs it as a task on the VM's event
+                # loop.  The app.main span is begun/ended explicitly — a
+                # ``with`` held across yields would corrupt the loop
+                # thread's thread-local span nesting.
                 def body():
                     span = tracer.begin_span("app.main", app=self.name,
                                              parent_id=exec_parent,
@@ -355,9 +345,6 @@ class Application:
                         span.end()
                     if isinstance(result, int) and result != 0:
                         self._begin_exit(result)
-
-                if self._threads_mode == "os":
-                    backing = "os"
             else:
                 def body() -> None:
                     with tracer.span("app.main", app=self.name,
@@ -377,8 +364,7 @@ class Application:
             self.main_thread = JThread(target=body,
                                        name=f"main-{self.name}",
                                        group=self.thread_group,
-                                       daemon=False,
-                                       backing=backing)
+                                       daemon=False)
             self.main_thread.start()
 
     def context(self) -> InvocationContext:

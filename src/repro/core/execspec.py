@@ -102,13 +102,6 @@ class ExecSpec:
     #: Launch-time phase override (e.g. headless services that should
     #: start straight in "steady"); None keeps the kernel's default.
     phase: Optional[str] = None
-    # -- thread backing --
-    #: How continuation-capable threads are backed: "sched" (generator
-    #: mains become tasks on the VM's event-loop scheduler — the
-    #: default) or "os" (the escape hatch: the same continuations run
-    #: on dedicated OS threads through drive_inline).  Plain-callable
-    #: mains always get an OS thread regardless.
-    threads: str = "sched"
     # -- routing + admission --
     placement: Placement = field(default_factory=Placement)
     admission_timeout: Optional[float] = None
@@ -118,10 +111,6 @@ class ExecSpec:
             raise IllegalArgumentException("ExecSpec needs a class name")
         if not isinstance(self.args, tuple):
             object.__setattr__(self, "args", tuple(self.args or ()))
-        if self.threads not in ("sched", "os"):
-            raise IllegalArgumentException(
-                f"ExecSpec.threads must be 'sched' or 'os', "
-                f"not {self.threads!r}")
 
     # -- adapters for the three launch paths -----------------------------------
 

@@ -217,8 +217,7 @@ class JThread:
                  name: Optional[str] = None,
                  group: Optional[ThreadGroup] = None,
                  daemon: Optional[bool] = None,
-                 args: Iterable = (),
-                 backing: Optional[str] = None):
+                 args: Iterable = ()):
         creator = JThread.current_or_none()
         if group is None:
             if creator is not None:
@@ -240,9 +239,15 @@ class JThread:
         if daemon is None:
             daemon = creator.daemon if creator is not None else False
 
-        if backing not in (None, "sched", "os"):
-            raise IllegalArgumentException(
-                f"backing must be 'sched' or 'os', not {backing!r}")
+        self._init_fields(name, group, daemon, target, args)
+        from repro.security import access as _access
+        self.inherited_context = _access.snapshot_inherited_context()
+        group._add_thread(self)
+
+    def _init_fields(self, name: str, group: ThreadGroup, daemon: bool,
+                     target: Optional[Callable] = None,
+                     args: Iterable = ()) -> None:
+        """Every per-thread field, for both ``__init__`` and :meth:`attach`."""
         self.name = name
         self.group = group
         self.daemon = bool(daemon)
@@ -256,11 +261,6 @@ class JThread:
         self._stop_requested = False
         self._wake = threading.Condition()
         self._python_thread: Optional[threading.Thread] = None
-        #: Backing selection: None = auto (generator bodies become
-        #: scheduler tasks, plain callables get an OS thread), "sched"
-        #: requires a continuation body, "os" forces a dedicated OS
-        #: thread (generator bodies then run under drive_inline).
-        self._backing = backing
         self._task = None
         self._continuation = None
         #: callbacks run (in this thread) after the thread body finishes;
@@ -269,10 +269,7 @@ class JThread:
         #: access-control context inherited from the creator (a tuple of
         #: ProtectionDomains); filled in by repro.security.access.
         self.inherited_context = None
-        from repro.security import access as _access
-        self.inherited_context = _access.snapshot_inherited_context()
         self._acc_stack: list = []
-        group._add_thread(self)
 
     # -- identity ----------------------------------------------------------
 
@@ -302,34 +299,12 @@ class JThread:
         if JThread.current_or_none() is not None:
             raise IllegalStateException("thread is already attached")
         thread = JThread.__new__(JThread)
-        thread.name = name
-        thread.group = group
-        thread.daemon = daemon
-        thread._target = None
-        thread._args = ()
-        thread._started = True
-        thread._finished = threading.Event()
-        thread._finish_done = False
-        thread._finish_watches = []
-        thread._interrupted = False
-        thread._stop_requested = False
-        thread._wake = threading.Condition()
+        thread._init_fields(name, group, daemon)
         thread._python_thread = threading.current_thread()
-        thread._backing = "os"
-        thread._task = None
-        thread._continuation = None
-        thread.finish_hooks = []
-        thread.inherited_context = None
-        thread._acc_stack = []
         group._add_thread(thread)
+        thread._account_start()
         with _registry_lock:
             _current_jthreads[threading.get_ident()] = thread
-        vm = group.vm
-        if vm is not None:
-            vm.thread_started(thread)
-        application = owning_application(group)
-        if application is not None:
-            application.adopt_thread(thread)
         return thread
 
     def detach(self) -> None:
@@ -352,10 +327,9 @@ class JThread:
         """The generator frame for this thread's body, or None.
 
         A generator-function target (or a generator-function ``run``
-        override) makes this thread continuation-capable: under the
-        scheduler backing the frame is multiplexed on the VM's event
-        loop; under the OS backing it runs through ``drive_inline`` on a
-        dedicated thread.  Creating the generator executes no body code.
+        override) makes this thread a continuation, which :meth:`start`
+        multiplexes on the VM's event loop.  Creating the generator
+        executes no body code.
         """
         import inspect
         if self._target is not None:
@@ -369,28 +343,42 @@ class JThread:
             return self.run()
         return None
 
-    def start(self) -> None:
-        if self._started:
-            raise IllegalThreadStateException(
-                f"thread {self.name} already started")
+    def _account_start(self) -> None:
+        """Mark this thread started, adopt it into its application and
+        count it in the VM.
+
+        The application may refuse the thread (a ``max_threads`` limit,
+        an exiting application); the refusal is re-raised and leaves
+        the thread unstarted, out of its group and out of VM accounting.
+        """
         self._started = True
+        application = owning_application(self.group)
+        if application is not None:
+            try:
+                application.adopt_thread(self)
+            except BaseException:
+                self._started = False
+                self.group._remove_thread(self)
+                raise
         vm = self.group.vm
         if vm is not None:
             vm.thread_started(self)
-        application = owning_application(self.group)
-        if application is not None:
-            application.adopt_thread(self)
-        self._continuation = self._make_continuation()
-        if self._continuation is None and self._backing == "sched":
+
+    def start(self) -> None:
+        """Start the body; its type alone picks the backing.
+
+        A generator body becomes a task on the VM's event loop (no OS
+        thread of its own); a plain callable gets a dedicated OS thread.
+        Lifecycle, interruption and finish hooks flow through the same
+        :meth:`_finish` path either way.
+        """
+        if self._started:
             raise IllegalThreadStateException(
-                f"thread {self.name}: backing='sched' requires a "
-                f"generator-function body (plain callables cannot be "
-                f"suspended)")
-        if self._continuation is not None and self._backing != "os":
-            # Continuation body: no OS thread at all — the VM's event
-            # loop multiplexes this JThread as a task.  Lifecycle,
-            # interruption and finish hooks all flow through the same
-            # _finish path the OS backing uses.
+                f"thread {self.name} already started")
+        self._account_start()
+        self._continuation = self._make_continuation()
+        if self._continuation is not None:
+            vm = self.group.vm
             if vm is not None:
                 scheduler = vm.ensure_scheduler()
             else:
@@ -410,11 +398,7 @@ class JThread:
             _current_jthreads[threading.get_ident()] = self
         failure: Optional[BaseException] = None
         try:
-            if self._continuation is not None:
-                from repro.sched.core import drive_inline
-                drive_inline(self._continuation)
-            else:
-                self.run()
+            self.run()
         except ThreadDeath:
             pass
         except BaseException as exc:  # noqa: BLE001 - must not leak upward

@@ -113,7 +113,7 @@ class VirtualMachine:
         self.policy_recorder = None        # repro.policytool.recorder (lazy)
         #: The per-VM event-loop scheduler (repro.sched), created lazily
         #: by ensure_scheduler() the first time a continuation task or a
-        #: scheduler-backed JThread starts on this VM.
+        #: generator-bodied JThread starts on this VM.
         self.scheduler = None
         self._scheduler_lock = threading.Lock()
 
@@ -229,11 +229,13 @@ class VirtualMachine:
         """The VM's event-loop scheduler, started on first use.
 
         One loop per VM multiplexes every continuation task (and every
-        scheduler-backed JThread facade) for all applications in this
-        VM — the ROADMAP's answer to one-OS-thread-per-JThread.
+        generator-bodied JThread) for all applications in this VM — the
+        ROADMAP's answer to one-OS-thread-per-JThread.  A loop that was
+        shut down is restarted, not replaced, so ``sched.*`` counters
+        carry on across the restart.
         """
         with self._scheduler_lock:
-            if self.scheduler is None or not self.scheduler.running:
+            if self.scheduler is None:
                 from repro.sched import Scheduler
                 self.scheduler = Scheduler(
                     name=f"sched-{self.os_context.pid}")

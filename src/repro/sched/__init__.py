@@ -14,9 +14,11 @@ Public surface:
 * :mod:`repro.sched.ops` — task-side blocking operations (``yield
   from ops.wait_on(...)`` etc.);
 * :mod:`repro.sched.timers` — the OS-thread half of the same API
-  (``timers.sleep``, ``timers.wait_until``, ``timers.poll_until``);
-* :func:`drive_inline` — run a task generator synchronously on a
-  dedicated OS thread (the ``threads="os"`` escape hatch).
+  (``timers.sleep``, ``timers.wait_until``, ``timers.poll_until``).
+
+A ``JThread`` whose body is a generator runs as a task here; a
+plain-callable body gets an OS thread (``JThread.start`` decides from
+the body's type alone).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from repro.sched.core import (
     WaitRequest,
     YIELD,
     assert_not_loop_thread,
-    drive_inline,
     sched_yield,
     sleep,
 )
@@ -44,7 +45,7 @@ __all__ = [
     "Scheduler", "Task", "spawn", "sched_yield", "sleep",
     "SleepRequest", "WaitRequest", "JoinRequest", "YIELD",
     "WaitPoint", "TaskWaiter", "SchedEvent",
-    "drive_inline", "default_scheduler", "current_scheduler",
+    "default_scheduler", "current_scheduler",
     "assert_not_loop_thread", "LOOP_IDENTS", "ops", "timers",
 ]
 
@@ -56,7 +57,7 @@ def default_scheduler() -> Scheduler:
     """The process-wide scheduler for tasks spawned outside any VM."""
     global _default_scheduler
     with _default_lock:
-        if _default_scheduler is None or not _default_scheduler.running:
+        if _default_scheduler is None:
             _default_scheduler = Scheduler(name="sched-default")
         return _default_scheduler.start()
 

@@ -36,10 +36,9 @@ facade ``JThread`` or its own ``inherited_context``), and because
 protection-domain frames are pushed *per resumption* by the
 generator-aware ``JMethod`` invoke, the access-control stack seen inside
 a task step is exactly what an OS thread running the same code would
-see.  The same program can therefore run under the scheduler or under
-:func:`drive_inline` on a dedicated OS thread (the ``threads="os"``
-escape hatch) with identical security semantics — which
-``tests/jvm/test_sched_security.py`` pins.
+see.  A generator body on the loop and a plain-callable body on its
+own OS thread therefore make identical security decisions — which
+``tests/jvm/test_sched_security.py`` pins scenario by scenario.
 """
 
 from __future__ import annotations
@@ -299,10 +298,22 @@ class Scheduler:
     # -- starting and stopping ----------------------------------------------
 
     def start(self) -> "Scheduler":
-        """Start the loop thread (idempotent)."""
+        """Start the loop thread (idempotent).
+
+        A loop that has been shut down starts again on a new thread;
+        this object and its counters carry on, so ``stats()`` never goes
+        backwards across a restart.
+        """
         with self._lock:
             if self._loop_thread is not None:
-                return self
+                if not self._stopped.is_set():
+                    return self
+                self._ready.clear()
+                self._timers.clear()
+                self._external.clear()
+                self._stopping = False
+                self._stopped.clear()
+                self._wakeup.clear()
             # A plain Python daemon thread, not a JThread: the loop hosts
             # many tasks and registers *their* JThread identities per
             # step; VM lifetime accounting tracks the tasks, not the loop.
@@ -367,7 +378,8 @@ class Scheduler:
         return self._launch(task)
 
     def _launch(self, task: Task) -> Task:
-        self.start()
+        if self._loop_thread is None:
+            self.start()
         with self._lock:
             if self._stopping:
                 raise IllegalStateException(
@@ -496,7 +508,15 @@ class Scheduler:
             task._park_token += 1
             task._parked = True
             task.state = T_PARKED
-            return task._park_token
+            token = task._park_token
+        # An interrupt or stop raised while the task was running found
+        # it unparked, so its kick did nothing; deliver it now.  The
+        # kick consumes this park's token, so the caller's timer and
+        # waiter callback go stale.
+        flags = task.jthread if task.jthread is not None else task
+        if flags._interrupted or flags._stop_requested:
+            self._kick(task)
+        return token
 
     # -- stepping ------------------------------------------------------------
 
@@ -673,67 +693,3 @@ class Scheduler:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Scheduler({self.name!r}, live={len(self._live)})"
 
-
-def drive_inline(gen) -> object:
-    """Run a task generator to completion on the *calling* OS thread.
-
-    The ``threads="os"`` escape hatch: the very same continuation
-    program a scheduler would multiplex runs on a dedicated thread, with
-    each yielded request serviced by the matching blocking primitive
-    (``SleepRequest`` → ``JThread.sleep``, ``WaitRequest`` → an event
-    wait, ``JoinRequest`` → a join — all interruptible stop points).
-    Interrupts raised while servicing a request are thrown back into the
-    generator at the same yield, so delivery points are identical under
-    both backings.
-    """
-    from repro.jvm.threads import JThread, checkpoint, POLL_INTERVAL
-
-    value, exc = None, None
-    while True:
-        try:
-            if exc is not None:
-                pending, exc = exc, None
-                out = gen.throw(pending)
-            else:
-                out = gen.send(value)
-        except StopIteration as stop:
-            return stop.value
-        value = None
-        try:
-            if out is None or out is YIELD:
-                checkpoint()
-            elif type(out) is SleepRequest:
-                JThread.sleep(out.seconds)
-            elif type(out) is WaitRequest:
-                value = _wait_inline(out.waiter, out.timeout,
-                                     POLL_INTERVAL)
-            elif type(out) is JoinRequest:
-                value = _join_inline(out.target, out.timeout)
-            else:
-                raise IllegalStateException(
-                    f"task yielded {out!r}; expected a scheduler request")
-        except (InterruptedException, ThreadDeath) as caught:
-            exc = caught
-
-
-def _wait_inline(waiter: TaskWaiter, timeout: Optional[float],
-                 poll: float) -> bool:
-    from repro.jvm.threads import checkpoint
-    event = waiter.bind_event()
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while True:
-        checkpoint()
-        remaining = poll
-        if deadline is not None:
-            remaining = min(remaining, deadline - time.monotonic())
-            if remaining <= 0:
-                return event.is_set()
-        if event.wait(remaining):
-            return True
-
-
-def _join_inline(target, timeout: Optional[float]) -> bool:
-    if isinstance(target, Task):
-        return target.join(timeout)
-    target.join(timeout)
-    return not target.is_alive()

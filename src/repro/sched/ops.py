@@ -14,10 +14,6 @@ and the parking happen under the same lock the blocking primitives
 ``notify_all`` under, no wakeup can be lost; because a timed-out
 waiter's park token has been consumed, no wakeup can be delivered
 twice.
-
-These generators run unchanged under :func:`repro.sched.core.drive_inline`
-(the ``threads="os"`` escape hatch), where the yielded requests are
-serviced by the matching OS-thread primitives instead.
 """
 
 from __future__ import annotations

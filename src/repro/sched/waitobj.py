@@ -32,23 +32,20 @@ from typing import Callable, Optional
 
 
 class TaskWaiter:
-    """One parked continuation (or inline driver) on a :class:`WaitPoint`.
+    """One parked continuation on a :class:`WaitPoint`.
 
     A waiter is single-shot: the first :meth:`fire` wins, later fires are
-    no-ops.  Whoever parks binds *how* the wakeup is delivered — the
-    scheduler binds a callback that re-enqueues the task; the inline
-    (OS-thread) driver binds a ``threading.Event`` it then blocks on.
-    Binding after the fire delivers immediately, so the
+    no-ops.  The scheduler binds a callback that re-enqueues the parked
+    task.  Binding after the fire delivers immediately, so the
     check-predicate-then-park race resolves safely on either side.
     """
 
-    __slots__ = ("_lock", "_fired", "_callback", "_event")
+    __slots__ = ("_lock", "_fired", "_callback")
 
     def __init__(self):
         self._lock = threading.Lock()
         self._fired = False
         self._callback: Optional[Callable[[], None]] = None
-        self._event: Optional[threading.Event] = None
 
     @property
     def fired(self) -> bool:
@@ -62,12 +59,9 @@ class TaskWaiter:
                 return
             self._fired = True
             callback = self._callback
-            event = self._event
             self._callback = None
         if callback is not None:
             callback()
-        if event is not None:
-            event.set()
 
     def bind_callback(self, callback: Callable[[], None]) -> None:
         """Scheduler-side binding: run ``callback`` on fire (or now)."""
@@ -79,15 +73,6 @@ class TaskWaiter:
                 self._callback = callback
         if run_now:
             callback()
-
-    def bind_event(self) -> threading.Event:
-        """Inline-driver binding: an event set on fire (or already set)."""
-        with self._lock:
-            if self._event is None:
-                self._event = threading.Event()
-                if self._fired:
-                    self._event.set()
-            return self._event
 
 
 class WaitPoint:

@@ -45,6 +45,32 @@ class TestThreadLimit:
         app.destroy()
         app.wait_for(5)
 
+    def test_refused_start_leaves_no_trace(self, host, register_app):
+        outcome = {}
+
+        def main(jclass, ctx, args):
+            refused = JThread(target=lambda: None, daemon=False)
+            try:
+                refused.start()
+            except ResourceLimitExceeded:
+                outcome["alive"] = refused.is_alive()
+                outcome["started"] = refused.started
+                outcome["active"] = refused.group.active_count()
+                outcome["listed"] = refused in refused.group._threads
+            return 0
+
+        vm = host.vm
+        before = vm.non_daemon_count
+        class_name = register_app("RefusedThread", main)
+        app = host.launch(ExecSpec(class_name, [],
+                                   limits=ResourceLimits(max_threads=1)))
+        assert app.wait_for(10) == 0
+        assert outcome == {"alive": False, "started": False, "active": 1,
+                           "listed": False}
+        # Only the main thread was ever counted, so the VM's non-daemon
+        # count returns to where it was once the app has exited.
+        assert wait_until(lambda: vm.non_daemon_count == before)
+
     def test_unlimited_by_default(self, host, register_app):
         def main(jclass, ctx, args):
             workers = [JThread(target=lambda: JThread.sleep(0.05),

@@ -2,11 +2,13 @@
 
 The scheduler multiplexes many tasks onto one loop thread, which is
 exactly the situation JDK 1.2's per-thread security state was never
-designed for.  Every test here runs the same body under both backings
-(``sched`` continuation task and dedicated ``os`` thread) and requires
-identical outcomes: inherited-context confinement (Section 5.6),
+designed for.  Every scenario here runs twice and requires the same
+outcome both times: once as a generator body (a task on the VM's event
+loop) and once as the same checks in a plain-callable body (a dedicated
+OS thread, the backing shell stages, EDTs and the rexec daemon use).
+The scenarios cover inherited-context confinement (Section 5.6),
 thread-group ancestry checks (Section 5.1/5.6), the user-based
-combination (Section 5.3), and per-task access-stack isolation.
+combination (Section 5.3), and per-thread access-stack isolation.
 """
 
 import threading
@@ -41,15 +43,46 @@ def backing(request):
     return request.param
 
 
-def _run(vm, body_fn, backing, group=None):
-    """Start the generator body under ``backing`` and wait for it."""
-    thread = JThread(target=body_fn,
-                     group=group if group is not None else vm.main_group,
-                     backing=backing)
-    thread.start()
+def _body(scenario, backing):
+    """``scenario`` (a generator function) as a body of ``backing``.
+
+    A task runs the generator itself, so each ``yield`` is a switch on
+    the shared loop.  An OS thread gets a plain callable that runs the
+    same steps straight through.
+    """
+    if backing == "sched":
+        return scenario
+
+    def plain():
+        for _ in scenario():
+            pass
+    return plain
+
+
+def _thread(vm, scenario, backing, group=None):
+    """A new (unstarted) JThread running ``scenario`` under ``backing``."""
+    return JThread(target=_body(scenario, backing),
+                   group=group if group is not None else vm.main_group)
+
+
+def _joined(thread, backing):
+    """Wait for a started ``thread`` and check which backing ran it."""
     thread.join(5)
     assert not thread.is_alive()
+    if backing == "sched":
+        assert thread._task is not None and thread._python_thread is None
+    else:
+        assert thread._task is None and thread._python_thread is not None
     return thread
+
+
+def _finish(thread, backing):
+    thread.start()
+    return _joined(thread, backing)
+
+
+def _run(vm, scenario, backing, group=None):
+    return _finish(_thread(vm, scenario, backing, group), backing)
 
 
 class TestInheritedContext:
@@ -65,10 +98,8 @@ class TestInheritedContext:
                 outcome.append("denied")
 
         with access.stack_frame(_domain("untrusted")):
-            thread = JThread(target=body, group=vm.main_group,
-                             backing=backing)
-        thread.start()
-        thread.join(5)
+            thread = _thread(vm, body, backing)
+        _finish(thread, backing)
         assert outcome == ["denied"], backing
 
     def test_trusted_creator_leaves_thread_trusted(self, vm, backing):
@@ -94,12 +125,10 @@ class TestInheritedContext:
                 outcome.append("denied")
 
         with access.stack_frame(_domain("untrusted")):
-            thread = JThread(target=body, group=vm.main_group,
-                             backing=backing)
+            thread = _thread(vm, body, backing)
         # The creator's frame is gone by start time; the snapshot from
         # construction must still confine the thread.
-        thread.start()
-        thread.join(5)
+        _finish(thread, backing)
         assert outcome == ["denied"], backing
 
 
@@ -209,7 +238,7 @@ class TestUserCombination:
 
 
 class TestStackIsolation:
-    """Frames held across a yield stay with their task, not the loop."""
+    """Frames held across a yield stay with their thread, not the loop."""
 
     def test_frame_survives_yield_and_pops(self, vm, backing):
         outcome = []
@@ -231,9 +260,10 @@ class TestStackIsolation:
         _run(vm, body, backing)
         assert outcome == ["denied-inside", "allowed-after"], backing
 
-    def test_two_tasks_do_not_share_frames(self, vm):
-        """Sched-specific: both tasks interleave on ONE loop thread, so
-        any leak of A's untrusted frame would poison B's check."""
+    def test_two_tasks_do_not_share_frames(self, vm, backing):
+        """As tasks both interleave on ONE loop thread, so any leak of
+        A's untrusted frame would poison B's check; as OS threads each
+        keeps its own stack."""
         barrier = threading.Event()
         outcome = {}
 
@@ -252,24 +282,40 @@ class TestStackIsolation:
                     outcome["leak"] = True
             outcome.setdefault("clean", True)
 
-        thread_a = JThread(target=tainted, group=vm.main_group,
-                           backing="sched")
-        thread_b = JThread(target=clean, group=vm.main_group,
-                           backing="sched")
+        thread_a = _thread(vm, tainted, backing)
+        thread_b = _thread(vm, clean, backing)
         thread_a.start()
         thread_b.start()
-        thread_a.join(5)
-        thread_b.join(5)
+        _joined(thread_a, backing)
+        _joined(thread_b, backing)
         assert barrier.is_set()
-        assert outcome == {"clean": True}
+        assert outcome == {"clean": True}, backing
 
 
 class TestFacadeLessTasks:
-    """Raw scheduler.spawn (no JThread) still inherits its creator's
-    privilege via the task-floor mechanism — sched-only by nature."""
+    """A body started by untrusted code inherits that code's privilege.
 
-    def test_spawner_context_confines_raw_task(self, vm):
-        scheduler = vm.ensure_scheduler()
+    On the loop this is a raw ``scheduler.spawn`` with no JThread (the
+    task-floor mechanism); on an OS thread it is the JThread a
+    plain-callable body gets.
+    """
+
+    @staticmethod
+    def _spawn(vm, scenario, backing):
+        if backing == "sched":
+            return vm.ensure_scheduler().spawn(scenario)
+        thread = _thread(vm, scenario, backing)
+        thread.start()
+        return thread
+
+    @staticmethod
+    def _wait(started, backing):
+        if backing == "sched":
+            assert started.join(5)
+        else:
+            _joined(started, backing)
+
+    def test_spawner_context_confines_raw_task(self, vm, backing):
         outcome = []
 
         def body():
@@ -281,12 +327,11 @@ class TestFacadeLessTasks:
                 outcome.append("denied")
 
         with access.stack_frame(_domain("untrusted")):
-            task = scheduler.spawn(body)
-        assert task.join(5)
-        assert outcome == ["denied"]
+            started = self._spawn(vm, body, backing)
+        self._wait(started, backing)
+        assert outcome == ["denied"], backing
 
-    def test_trusted_spawner_task_stays_trusted(self, vm):
-        scheduler = vm.ensure_scheduler()
+    def test_trusted_spawner_task_stays_trusted(self, vm, backing):
         outcome = []
 
         def body():
@@ -294,6 +339,5 @@ class TestFacadeLessTasks:
             access.check_permission(PERM)
             outcome.append("allowed")
 
-        task = scheduler.spawn(body)
-        assert task.join(5)
-        assert outcome == ["allowed"]
+        self._wait(self._spawn(vm, body, backing), backing)
+        assert outcome == ["allowed"], backing

@@ -237,6 +237,29 @@ class TestLifecycle:
         sched.shutdown()
         assert not sched.running
 
+    def test_restart_keeps_the_object_and_its_counters(self):
+        sched = Scheduler(name="restart-counters")
+        sched.start()
+        assert sched.spawn(lambda: None).join(5)
+        sched.shutdown()
+        assert not sched.running
+        assert sched.start() is sched and sched.running
+        assert sched.stats()["spawned"] == 1
+        assert sched.spawn(lambda: 7).join(5)
+        assert sched.stats()["spawned"] == 2
+        sched.shutdown()
+
+    def test_vm_keeps_one_scheduler_across_shutdown(self, vm):
+        scheduler = vm.ensure_scheduler()
+        assert scheduler.spawn(lambda: None).join(5)
+        assert vm.telemetry.metrics.total("sched.spawned") == 1
+        scheduler.shutdown()
+        again = vm.ensure_scheduler()
+        assert again is scheduler and again.running
+        assert vm.telemetry.metrics.total("sched.spawned") == 1
+        assert again.spawn(lambda: None).join(5)
+        assert vm.telemetry.metrics.total("sched.spawned") == 2
+
     def test_add_done_callback_after_finish_runs_now(self, scheduler):
         task = scheduler.spawn(lambda: "x")
         assert task.join(5)

@@ -60,34 +60,58 @@ class TestSchedBacking:
 
     def test_interrupt_delivered_into_body(self, root):
         caught = []
+        running = threading.Event()
 
         def body():
             try:
                 while True:
+                    running.set()
                     yield
             except InterruptedException:
                 caught.append(True)
 
         thread = JThread(target=body, group=root)
         thread.start()
-        time.sleep(0.05)
+        assert running.wait(5)
         thread.interrupt()
         thread.join(5)
         assert not thread.is_alive()
         assert caught == [True]
 
     def test_interrupt_wakes_sleeping_body(self, root):
+        sleeping = threading.Event()
+
         def body():
+            sleeping.set()
             yield sleep(30.0)
 
         thread = JThread(target=body, group=root)
         thread.start()
-        time.sleep(0.05)
+        # The interrupt may land just before the body parks or after;
+        # either way it must cut the 30 s sleep short.
+        assert sleeping.wait(5)
         start = time.monotonic()
         thread.interrupt()
         thread.join(5)
         assert not thread.is_alive()
         assert time.monotonic() - start < 5
+
+    def test_interrupt_before_park_is_not_lost(self, root):
+        caught = []
+
+        def body():
+            # Lands while the task is running, before it parks.
+            JThread.current().interrupt()
+            try:
+                yield sleep(30.0)
+            except InterruptedException:
+                caught.append(True)
+
+        thread = JThread(target=body, group=root)
+        thread.start()
+        thread.join(5)
+        assert not thread.is_alive()
+        assert caught == [True]
 
     def test_is_interrupted_flag(self, root):
         def body():
@@ -102,13 +126,16 @@ class TestSchedBacking:
         thread.join(5)
 
     def test_stop_is_silent(self, root):
+        running = threading.Event()
+
         def body():
             while True:
+                running.set()
                 yield
 
         thread = JThread(target=body, group=root)
         thread.start()
-        time.sleep(0.05)
+        assert running.wait(5)
         thread.stop()
         thread.join(5)
         assert not thread.is_alive()
@@ -162,32 +189,7 @@ class TestSchedBacking:
 
 
 class TestBackingSelection:
-    def test_sched_backing_rejects_plain_callable(self, root):
-        thread = JThread(target=lambda: None, group=root, backing="sched")
-        with pytest.raises(IllegalThreadStateException):
-            thread.start()
-
-    def test_bad_backing_value_rejected(self, root):
-        from repro.jvm.errors import IllegalArgumentException
-        with pytest.raises(IllegalArgumentException):
-            JThread(target=lambda: None, group=root, backing="green")
-
-    def test_os_backing_drives_generator_inline(self, root):
-        _settle()
-        before = threading.active_count()
-        done = []
-
-        def body():
-            yield sleep(0.01)
-            done.append("inline")
-
-        thread = JThread(target=body, group=root, backing="os")
-        thread.start()
-        # The escape hatch costs a dedicated OS thread again.
-        assert threading.active_count() >= before + 1
-        thread.join(5)
-        assert not thread.is_alive()
-        assert done == ["inline"]
+    """JThread.start picks the backing from the body's type alone."""
 
     def test_plain_callable_still_gets_os_thread(self, root):
         done = []
@@ -196,53 +198,44 @@ class TestBackingSelection:
         thread.join(5)
         assert not thread.is_alive()
         assert done == [1]
-
-    def test_same_body_same_result_both_backings(self, root):
-        def make(results):
-            def body():
-                total = 0
-                for i in range(5):
-                    total += i
-                    yield sched_yield()
-                results.append(total)
-            return body
-
-        for backing in ("sched", "os"):
-            results = []
-            thread = JThread(target=make(results), group=root,
-                             backing=backing)
-            thread.start()
-            thread.join(5)
-            assert not thread.is_alive()
-            assert results == [10], backing
+        assert thread._task is None
+        assert thread._python_thread is not None
 
 
 class TestFinishHooks:
     def test_hooks_run_exactly_once_sched(self, root):
         hits = []
+        hooked = threading.Event()
 
         def body():
             yield
 
         thread = JThread(target=body, group=root)
         thread.finish_hooks.append(lambda t: hits.append(t.name))
+        thread.finish_hooks.append(lambda t: hooked.set())
         thread.start()
         thread.join(5)
         assert not thread.is_alive()
-        time.sleep(0.05)
+        # join returns once the thread is marked finished; its hooks
+        # run just after.
+        assert hooked.wait(5)
         assert hits == [thread.name]
 
     def test_hooks_run_exactly_once_under_stop_race(self, root):
         hits = []
+        running = threading.Event()
+        hooked = threading.Event()
 
         def body():
             while True:
+                running.set()
                 yield
 
         thread = JThread(target=body, group=root)
         thread.finish_hooks.append(lambda t: hits.append(1))
+        thread.finish_hooks.append(lambda t: hooked.set())
         thread.start()
-        time.sleep(0.05)
+        assert running.wait(5)
         # Two racing stop requests from different threads.
         stoppers = [threading.Thread(target=thread.stop) for _ in range(2)]
         for s in stoppers:
@@ -251,7 +244,7 @@ class TestFinishHooks:
             s.join(5)
         thread.join(5)
         assert not thread.is_alive()
-        time.sleep(0.05)
+        assert hooked.wait(5)
         assert hits == [1]
 
     def test_hooks_run_exactly_once_on_detach(self, root):
@@ -281,8 +274,10 @@ class TestFinishHooks:
         sched.start()
         group = ThreadGroup(None, "system")
         hits = []
+        parked = threading.Event()
 
         def body():
+            parked.set()
             yield sleep(3600.0)
 
         thread = JThread(target=body, group=group)
@@ -291,7 +286,7 @@ class TestFinishHooks:
         thread._started = True
         thread._task = sched.spawn_task(
             thread._continuation, name=thread.name, jthread=thread)
-        time.sleep(0.05)
+        assert parked.wait(5)
         sched.shutdown()
         thread.join(5)
         assert not thread.is_alive()

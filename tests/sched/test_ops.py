@@ -1,6 +1,5 @@
 """Task-side blocking operations against the real blocking surface."""
 
-import threading
 import time
 
 import pytest
@@ -198,40 +197,3 @@ class TestEventQueue:
         assert task.join(5)
         assert task.result == []
 
-
-class TestInlineDriver:
-    """The same generators under drive_inline (the threads='os' hatch)."""
-
-    def test_wait_on_inline(self):
-        from repro.sched.core import drive_inline
-        wp = WaitPoint()
-        flag = []
-
-        def body():
-            ok = yield from ops.wait_on(wp, lambda: bool(flag))
-            return ok
-
-        def release():
-            time.sleep(0.05)
-            with wp:
-                flag.append(1)
-                wp.notify_all()
-
-        threading.Thread(target=release, daemon=True).start()
-        assert drive_inline(body()) is True
-
-    def test_read_inline(self):
-        from repro.sched.core import drive_inline
-        reader, writer = make_pipe()
-
-        def body():
-            data = yield from ops.read(reader, 1024)
-            return data
-
-        def feed():
-            time.sleep(0.05)
-            writer.write(b"inline")
-
-        threading.Thread(target=feed, daemon=True).start()
-        assert drive_inline(body()) == b"inline"
-        writer.close()

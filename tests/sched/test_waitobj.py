@@ -27,18 +27,6 @@ class TestTaskWaiter:
         waiter.bind_callback(lambda: hits.append(1))
         assert hits == [1]
 
-    def test_bind_event_side(self):
-        waiter = TaskWaiter()
-        event = waiter.bind_event()
-        assert not event.is_set()
-        waiter.fire()
-        assert event.is_set()
-
-    def test_bind_event_after_fire_already_set(self):
-        waiter = TaskWaiter()
-        waiter.fire()
-        assert waiter.bind_event().is_set()
-
 
 class TestWaitPoint:
     def test_condition_compatibility(self):

@@ -77,25 +77,13 @@ class TestSchedulerExports:
         assert task.result == 42
 
     def test_jthread_facade_signature_stable(self):
-        """The facade's constructor surface is pinned: old call sites
-        must keep working byte-for-byte, new ``backing`` is keyword-only
-        in practice (trailing, defaulted)."""
+        """The facade's constructor surface is pinned: the body's type
+        alone picks its backing, so there is no backing parameter."""
         import inspect
         from repro.jvm.threads import JThread
         params = list(inspect.signature(JThread.__init__).parameters)
         assert params == ["self", "target", "name", "group", "daemon",
-                          "args", "backing"]
-        sig = inspect.signature(JThread.__init__)
-        assert sig.parameters["backing"].default is None
-
-    def test_execspec_threads_field(self):
-        from repro.core.execspec import ExecSpec
-        spec = ExecSpec("apps.Demo")
-        assert spec.threads == "sched"
-        forced = ExecSpec("apps.Demo", threads="os")
-        assert forced.threads == "os"
-        with pytest.raises(Exception):
-            ExecSpec("apps.Demo", threads="green")
+                          "args"]
 
     def test_wait_objects_are_condition_compatible(self):
         wp = repro.WaitPoint()
