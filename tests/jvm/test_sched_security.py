@@ -30,6 +30,7 @@ from repro.security.sysmanager import SystemSecurityManager
 pytestmark = pytest.mark.sched
 
 PERM = RuntimePermission("doSensitiveThing")
+BACKINGS = ("sched", "os")
 
 
 def _domain(name, *permissions):
@@ -37,7 +38,7 @@ def _domain(name, *permissions):
                             Permissions(permissions), name=name)
 
 
-@pytest.fixture(params=["sched", "os"])
+@pytest.fixture(params=BACKINGS)
 def backing(request):
     """Both sides of the equivalence claim."""
     return request.param
@@ -260,10 +261,15 @@ class TestStackIsolation:
         _run(vm, body, backing)
         assert outcome == ["denied-inside", "allowed-after"], backing
 
-    def test_two_tasks_do_not_share_frames(self, vm, backing):
+    def test_two_tasks_do_not_share_frames(self, vm):
         """As tasks both interleave on ONE loop thread, so any leak of
         A's untrusted frame would poison B's check; as OS threads each
         keeps its own stack."""
+        for backing in BACKINGS:
+            self._two_bodies_do_not_share_frames(vm, backing)
+
+    @staticmethod
+    def _two_bodies_do_not_share_frames(vm, backing):
         barrier = threading.Event()
         outcome = {}
 
@@ -315,7 +321,11 @@ class TestFacadeLessTasks:
         else:
             _joined(started, backing)
 
-    def test_spawner_context_confines_raw_task(self, vm, backing):
+    def test_spawner_context_confines_raw_task(self, vm):
+        for backing in BACKINGS:
+            self._spawner_context_confines(vm, backing)
+
+    def _spawner_context_confines(self, vm, backing):
         outcome = []
 
         def body():
@@ -331,7 +341,11 @@ class TestFacadeLessTasks:
         self._wait(started, backing)
         assert outcome == ["denied"], backing
 
-    def test_trusted_spawner_task_stays_trusted(self, vm, backing):
+    def test_trusted_spawner_task_stays_trusted(self, vm):
+        for backing in BACKINGS:
+            self._trusted_spawner_stays_trusted(vm, backing)
+
+    def _trusted_spawner_stays_trusted(self, vm, backing):
         outcome = []
 
         def body():

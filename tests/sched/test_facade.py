@@ -201,6 +201,53 @@ class TestBackingSelection:
         assert thread._task is None
         assert thread._python_thread is not None
 
+    def test_sched_backing_rejects_plain_callable(self, root):
+        """A plain callable cannot be asked onto the loop: JThread has
+        no backing keyword, and the callable gets an OS thread."""
+        with pytest.raises(TypeError):
+            JThread(target=lambda: None, group=root, **{"backing": "sched"})
+        thread = JThread(target=lambda: None, group=root)
+        thread.start()
+        thread.join(5)
+        assert not thread.is_alive()
+        assert thread._task is None
+
+    def test_bad_backing_value_rejected(self, root):
+        def body():
+            yield
+
+        for value in ("sched", "os", "green"):
+            with pytest.raises(TypeError):
+                JThread(target=body, group=root, **{"backing": value})
+
+    def test_same_body_same_result_both_backings(self, root):
+        """The same steps as a generator body (a task) and as a plain
+        callable (an OS thread) give the same result."""
+        def make(results):
+            def body():
+                total = 0
+                for i in range(5):
+                    total += i
+                    yield sched_yield()
+                results.append(total)
+            return body
+
+        def plain(results):
+            def run():
+                for _ in make(results)():
+                    pass
+            return run
+
+        for wrap, on_loop in ((make, True), (plain, False)):
+            results = []
+            thread = JThread(target=wrap(results), group=root)
+            thread.start()
+            thread.join(5)
+            assert not thread.is_alive()
+            assert results == [10], wrap.__name__
+            assert (thread._task is not None) is on_loop
+            assert (thread._python_thread is None) is on_loop
+
 
 class TestFinishHooks:
     def test_hooks_run_exactly_once_sched(self, root):

@@ -85,6 +85,16 @@ class TestSchedulerExports:
         assert params == ["self", "target", "name", "group", "daemon",
                           "args"]
 
+    def test_execspec_threads_field(self):
+        """ExecSpec carries no threads mode: an application's threads
+        get their backing from their bodies, not from the launch."""
+        import dataclasses
+        from repro.core.execspec import ExecSpec
+        spec = ExecSpec("apps.Demo")
+        assert "threads" not in {f.name for f in dataclasses.fields(spec)}
+        with pytest.raises(TypeError):
+            ExecSpec("apps.Demo", **{"threads": "os"})
+
     def test_wait_objects_are_condition_compatible(self):
         wp = repro.WaitPoint()
         with wp:
