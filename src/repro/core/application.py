@@ -70,6 +70,11 @@ STATE_TERMINATED = "terminated"
 #: Exit code reported when an application is killed from outside.
 KILLED_EXIT_CODE = 143
 
+#: The VM-level series whose ``app=`` breakdown each live application
+#: publishes from its own state (:meth:`Application.figures`).
+APP_FIGURES = ("app.threads.started", "app.threads.live", "reload.classes",
+               "reload.bytes", "app.phase.transitions")
+
 
 @dataclass(frozen=True)
 class ResourceLimits:
@@ -206,6 +211,8 @@ class Application:
         #: construction, ``steady`` at first AWT dispatch (or by explicit
         #: :meth:`advance_phase`), ``shutdown`` once exit begins.
         self._phase = PHASE_INIT
+        #: The phases entered after ``init``, in order.
+        self._phases_entered: tuple[str, ...] = ()
         #: True while this application's audit slice is being captured
         #: for policy inference (set by the policy recorder).
         self.policy_recording = False
@@ -240,12 +247,11 @@ class Application:
         self._lifecycle_span = None
 
         if parent is not None:
-            maximum = parent.limits.max_children
-            if maximum is not None and len(parent.children) >= maximum:
-                raise parent._limit_rejected("max_children", "child",
-                                             maximum)
-            parent.children.append(self)
-            parent.stats["children"] += 1
+            try:
+                parent._adopt_child(self)
+            except BaseException:
+                self.thread_group.destroy()
+                raise
         registry = vm.application_registry
         if registry is not None:
             registry.register(self)
@@ -430,6 +436,23 @@ class Application:
             f"application {self.name} reached its {kind_word} limit "
             f"({maximum})", limit=limit, maximum=maximum)
 
+    def _adopt_child(self, child: "Application") -> None:
+        """Count a child being launched from this application.
+
+        Refused, with a typed error, once this application is exiting
+        (the reaper may already have torn its children down) or at its
+        ``max_children`` limit.
+        """
+        with self._cond:
+            if self._state in (STATE_EXITING, STATE_TERMINATED):
+                raise IllegalThreadStateException(
+                    f"application {self.name} is {self._state}")
+            maximum = self.limits.max_children
+            if maximum is not None and len(self.children) >= maximum:
+                raise self._limit_rejected("max_children", "child", maximum)
+            self.children.append(child)
+            self.stats["children"] += 1
+
     def adopt_thread(self, thread: JThread) -> None:
         """Called when a thread starts inside this application's groups."""
         with self._cond:
@@ -444,9 +467,7 @@ class Application:
             self.stats["threads"] += 1
             if not thread.daemon:
                 self._non_daemon += 1
-        metrics = self.vm.telemetry.metrics
-        metrics.counter("app.threads.started", app=self.name).inc()
-        metrics.gauge("app.threads.live", app=self.name).set(live + 1)
+        self.vm.telemetry.metrics.counter("app.threads.started").inc()
         thread.finish_hooks.append(self._on_thread_finished)
 
     def _on_thread_finished(self, thread: JThread) -> None:
@@ -454,15 +475,12 @@ class Application:
         with self._cond:
             if thread in self._threads:
                 self._threads.remove(thread)
-            live = sum(1 for t in self._threads if t.is_alive())
             if not thread.daemon:
                 self._non_daemon -= 1
                 if (self._non_daemon <= 0 and self.auto_exit
                         and self._state == STATE_RUNNING):
                     auto = True
             self._cond.notify_all()
-        self.vm.telemetry.metrics.gauge(
-            "app.threads.live", app=self.name).set(live)
         if auto:
             # "If the application does not explicitly call exit(), then the
             # JVM will call the exit method as soon as there are only
@@ -557,13 +575,13 @@ class Application:
                         f"{self._phase} to {phase}")
                 return False
             self._phase = phase
+            self._phases_entered += (phase,)
         # No cache invalidation: per-phase decision memos coexist inside
         # each protection domain, so a transition costs nothing beyond
         # first-touch misses in the new phase.
         telemetry = self.vm.telemetry
         telemetry.tracer.event("app.phase", app=self.name, phase=phase)
-        telemetry.metrics.counter("app.phase.transitions",
-                                  app=self.name, phase=phase).inc()
+        telemetry.metrics.counter("app.phase.transitions").inc()
         return True
 
     # ------------------------------------------------------------------
@@ -630,7 +648,20 @@ class Application:
             self._teardown()
 
     def _teardown(self) -> None:
-        """Reaper work: hooks, then children, windows, threads, streams."""
+        """Reaper work: hooks, then children, windows, threads, streams;
+        then free what only this application used.
+
+        Once threads are stopped and the application is unregistered,
+        its thread group is destroyed, the group's link back to it is
+        cut and its loader released, so nothing the VM holds reaches the
+        application and reference counting frees it when its last handle
+        goes.  A thread that outlives its join keeps the group (and the
+        application) and is counted in ``apps.unreaped``; the reaper goes
+        on.  Runs once: a child its parent's teardown already reaped is
+        skipped when the reaper dequeues it.
+        """
+        if self._state == STATE_TERMINATED:
+            return  # only teardown sets it, and the reaper runs one at a time
         for hook in list(self.exit_hooks):
             try:
                 hook()
@@ -668,6 +699,13 @@ class Application:
         if self.parent is not None and self in self.parent.children:
             self.parent.children.remove(self)
         telemetry = self.vm.telemetry
+        try:
+            self.thread_group.destroy()
+        except IllegalThreadStateException:
+            telemetry.metrics.counter("apps.unreaped").inc()
+        else:
+            self.thread_group.application = None
+            self.loader.release()
         telemetry.tracer.event("app.reaped", app=self.name,
                                code=self.exit_code)
         if self._lifecycle_span is not None:
@@ -739,6 +777,27 @@ class Application:
     def terminated(self) -> bool:
         return self.state == STATE_TERMINATED
 
+    def figures(self) -> list[dict]:
+        """This application's slice of the VM-level ``app.*`` and
+        ``reload.*`` series, as described metric entries labelled
+        ``app=<name>``: read from its own state, so freed with it."""
+        app = {"app": self.name}
+        loader = self.loader
+
+        def entry(kind, name, value, **labels):
+            return {"kind": kind, "name": name, "labels": {**app, **labels},
+                    "value": value}
+
+        with self._cond:
+            started = self.stats["threads"]
+            phases = self._phases_entered
+        return [entry("counter", "app.threads.started", started),
+                entry("gauge", "app.threads.live", len(self.live_threads())),
+                entry("counter", "reload.classes", loader.reloaded_classes),
+                entry("counter", "reload.bytes", loader.reloaded_bytes),
+                *(entry("counter", "app.phase.transitions", 1, phase=phase)
+                  for phase in phases)]
+
     def _is_terminal(self) -> bool:
         """Lock-free terminal predicate for scheduler wait-objects.
 
@@ -766,14 +825,17 @@ class ApplicationRegistry:
         #: Synthetic root application: the context the VM launcher itself
         #: runs in (the "null user for bootstrapping" of Section 5.2).
         self.initial: Optional[Application] = None
-        # The lifecycle series (per-application ones get an ``app``
-        # label when bumped), listed in /proc/vmstat from boot.
+        # The lifecycle series, listed in /proc/vmstat from boot.  None
+        # is kept per application: each live application's own figures
+        # are read from it (``_app_figures``) and freed with it.
         metrics = vm.telemetry.metrics
-        for name in ("apps.launched", "apps.reaped", "app.threads.started",
+        for name in ("apps.launched", "apps.reaped", "apps.unreaped",
+                     "app.threads.started", "app.phase.transitions",
                      "limits.rejected"):
             metrics.counter(name)
         metrics.gauge("apps.live")
-        metrics.gauge("app.threads.live")
+        metrics.collect(self._live_threads)
+        metrics.collect_labelled(APP_FIGURES, self._app_figures)
 
     def start(self) -> "ApplicationRegistry":
         self._reaper = JThread(target=self._reaper_body,
@@ -810,6 +872,22 @@ class ApplicationRegistry:
         with self._lock:
             return self._applications.get(app_id)
 
+    def _live_threads(self) -> dict:
+        """``app.threads.live``, counted over the live applications."""
+        with self._lock:
+            applications = list(self._applications.values())
+        return {"app.threads.live": sum(len(a.live_threads())
+                                        for a in applications)}
+
+    def _app_figures(self, match: dict) -> list[dict]:
+        """The live applications' own figures, for labelled reads."""
+        name = match.get("app")
+        with self._lock:
+            applications = [a for a in self._applications.values()
+                            if name is None or a.name == name]
+        return [entry for application in applications
+                for entry in application.figures()]
+
     def schedule_destruction(self, application: Application) -> None:
         with self._queue_cond:
             if application not in self._queue:
@@ -828,3 +906,6 @@ class ApplicationRegistry:
                 application._teardown()
             except BaseException as exc:  # noqa: BLE001 - reaper survives
                 self.vm.report_uncaught(JThread.current_or_none(), exc)
+            # Wait for the next one holding none: the last application
+            # reaped is freed as soon as its own handles go.
+            del application

@@ -40,6 +40,10 @@ class ApplicationClassLoader(ClassLoader):
         super().__init__(parent.registry, parent=parent,
                          name=f"app:{app_name}")
         self.app_name = app_name
+        #: Classes and class-material bytes this loader re-defined: the
+        #: application's own slice of ``reload.classes``/``reload.bytes``.
+        self.reloaded_classes = 0
+        self.reloaded_bytes = 0
         self._reloadable = set(RELOADABLE_CLASSES)
         if extra_reloadable:
             self._reloadable.update(extra_reloadable)
@@ -67,11 +71,13 @@ class ApplicationClassLoader(ClassLoader):
                 # own identity.
                 material = self.registry.get(name)
                 jclass = self.define_class(material)
+                size = material.size()
+                self.reloaded_classes += 1
+                self.reloaded_bytes += size
             vm = self.vm
             if vm is not None:
                 metrics = vm.telemetry.metrics
-                metrics.counter("reload.classes", app=self.app_name).inc()
-                metrics.counter("reload.bytes",
-                                app=self.app_name).inc(material.size())
+                metrics.counter("reload.classes").inc()
+                metrics.counter("reload.bytes").inc(size)
             return jclass
         return super().load_class(name)

@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import inspect
 import threading
+import weakref
 from typing import Callable, Iterable, Optional
 
 from repro.jvm.errors import (
     ClassNotFoundException,
     IllegalArgumentException,
+    IllegalStateException,
     NoSuchMethodException,
 )
 from repro.security import access
@@ -346,6 +348,7 @@ class ClassLoader:
         #: loader and inherited by child loaders).
         self.vm = parent.vm if parent is not None else None
         self._defined: dict[str, JClass] = {}
+        self._released = False
         self._lock = threading.RLock()
 
     def load_class(self, name: str) -> JClass:
@@ -370,17 +373,34 @@ class ClassLoader:
             existing = self._defined.get(material.name)
             if existing is not None:
                 return existing
+            if self._released:
+                raise IllegalStateException(
+                    f"class loader {self.name} was released")
             domain = self.domain_for(material)
             jclass = JClass(material, self, domain)
             self._defined[material.name] = jclass
         vm = self.vm
         if vm is not None:
             metrics = vm.telemetry.metrics
-            metrics.counter("classload.defined", loader=self.name).inc()
-            metrics.counter("classload.bytes",
-                            loader=self.name).inc(material.size())
+            metrics.counter("classload.defined").inc()
+            metrics.counter("classload.bytes").inc(material.size())
         jclass.initialize()
         return jclass
+
+    def release(self) -> None:
+        """Hold the defined classes weakly from now on, and define no more.
+
+        A loader keeps its classes and each class its defining loader
+        (``JClass.loader``): a cycle only the collector frees.  The reaper
+        releases a reaped application's loader, so the application frees
+        both by reference counting.  A class still keeps its loader alive
+        (an object of it may be shared past its application), and a
+        released loader still returns a class it defined while something
+        holds that class; it never defines a second one under its name.
+        """
+        with self._lock:
+            self._defined = weakref.WeakValueDictionary(self._defined)
+            self._released = True
 
     def domain_for(self, material: ClassMaterial) -> ProtectionDomain:
         """Protection domain for a class this loader defines.

@@ -73,6 +73,10 @@ class ThreadGroup:
         self._subgroups: list[ThreadGroup] = []
         self._threads: list[JThread] = []
         self._destroyed = False
+        #: The application whose root group this is (set by the
+        #: application layer); the reaper clears it when it destroys the
+        #: group, so neither keeps the other alive.
+        self.application = None
         self.vm = parent.vm if parent is not None else None
         if parent is not None:
             parent._add_group(self)
@@ -120,12 +124,13 @@ class ThreadGroup:
         return self._destroyed
 
     def destroy(self) -> None:
-        """Destroy this (empty) group and remove it from its parent."""
+        """Destroy this group and its subgroups and remove it from its
+        parent; raises while a thread in the subtree is alive."""
         with _tree_lock:
             if self._destroyed:
                 raise IllegalThreadStateException(
                     f"thread group {self.name} already destroyed")
-            if any(t.is_alive() for t in self._threads):
+            if self.enumerate_threads(recurse=True):
                 raise IllegalThreadStateException(
                     f"thread group {self.name} still has live threads")
             for sub in list(self._subgroups):
@@ -364,6 +369,21 @@ class JThread:
         if vm is not None:
             vm.thread_started(self)
 
+    def _unaccount_start(self) -> None:
+        """Undo :meth:`_account_start` for a backing that failed to start
+        (a loop shutting down, no OS thread to be had): the thread is
+        left unstarted, out of its group, its application and VM
+        accounting, as a refused adopt leaves it."""
+        self._started = False
+        self.group._remove_thread(self)
+        application = owning_application(self.group)
+        if application is not None:
+            self.finish_hooks.remove(application._on_thread_finished)
+            application._on_thread_finished(self)
+        vm = self.group.vm
+        if vm is not None:
+            vm.thread_finished(self)
+
     def start(self) -> None:
         """Start the body; its type alone picks the backing.
 
@@ -376,22 +396,28 @@ class JThread:
             raise IllegalThreadStateException(
                 f"thread {self.name} already started")
         self._account_start()
-        self._continuation = self._make_continuation()
-        if self._continuation is not None:
-            vm = self.group.vm
-            if vm is not None:
-                scheduler = vm.ensure_scheduler()
-            else:
-                from repro.sched import default_scheduler
-                scheduler = default_scheduler()
-            self._task = scheduler.spawn_task(
-                self._continuation, name=self.name, jthread=self)
-            return
-        # The Python-level thread is always a Python daemon: VM lifetime is
-        # tracked by our own accounting, never by the interpreter's.
-        self._python_thread = threading.Thread(
-            target=self._run_wrapper, name=self.name, daemon=True)
-        self._python_thread.start()
+        try:
+            self._continuation = self._make_continuation()
+            if self._continuation is not None:
+                vm = self.group.vm
+                if vm is not None:
+                    scheduler = vm.ensure_scheduler()
+                else:
+                    from repro.sched import default_scheduler
+                    scheduler = default_scheduler()
+                self._task = scheduler.spawn_task(
+                    self._continuation, name=self.name, jthread=self)
+                return
+            # The Python-level thread is always a Python daemon: VM
+            # lifetime is tracked by our own accounting, never by the
+            # interpreter's.
+            self._python_thread = threading.Thread(
+                target=self._run_wrapper, name=self.name, daemon=True)
+            self._python_thread.start()
+        except BaseException:
+            self._continuation = self._python_thread = None
+            self._unaccount_start()
+            raise
 
     def _run_wrapper(self) -> None:
         with _registry_lock:
@@ -441,6 +467,15 @@ class JThread:
                 watch(self)
             except BaseException as watch_exc:  # noqa: BLE001
                 self.group.uncaught_exception(self, watch_exc)
+        # Like java.lang.Thread.exit, drop what only a live body needs:
+        # the body, its arguments and frame, the hooks (which name the
+        # application) and the task's link back.  A finished thread then
+        # keeps nothing alive that its application is freed with.
+        self._target = self._continuation = None
+        self._args = ()
+        self.finish_hooks.clear()
+        if self._task is not None:
+            self._task.jthread = None
 
     def _add_finish_watch(self, callback: Callable[["JThread"], None]) -> bool:
         """Register an internal finish callback; True if already finished.
@@ -579,11 +614,13 @@ def owning_application(group: Optional[ThreadGroup]):
 
     This is the paper's Section 5.1 derivation: "threads give us a
     convenient way to distinguish two instances of the same program" —
-    any thread's application is found by walking its group ancestry.
+    any thread's application is found by walking its group ancestry.  A
+    destroyed group belongs to no application: the walk stops there, so a
+    reaped application's finished threads never resolve to its parent.
     """
     while group is not None:
-        application = getattr(group, "application", None)
-        if application is not None:
+        application = group.application
+        if application is not None or group._destroyed:
             return application
         group = group.parent
     return None

@@ -5,7 +5,7 @@ One :class:`TelemetryHub` hangs off every
 three facilities:
 
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — lock-cheap counters,
-  gauges, and histograms with per-application labels;
+  gauges, and histograms with labels;
 * :class:`~repro.telemetry.trace.Tracer` — span-style structured tracing
   with monotonic timestamps, ring-buffered per application, JSONL export;
 * :class:`~repro.telemetry.audit.AuditLog` — the append-only record of
@@ -74,6 +74,8 @@ class TelemetryHub:
         self.audit = AuditLog(audit_capacity if audit_capacity is not None
                               else AUDIT_CAPACITY)
         self.metrics.collect(self.audit.collect)
+        self.metrics.collect_labelled(("security.checks",),
+                                      self.audit.collect_labelled)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"TelemetryHub({self.name!r}, metrics={len(self.metrics)}, "
@@ -111,10 +113,11 @@ def audit_check(permission, granted: bool, manager: str,
 
     Resolves the current application for the user / application columns;
     ``vm`` is a fallback hub source for checks made from host threads (the
-    security manager passes its owning VM).  Also bumps the
-    ``security.checks`` counter and — when someone is listening — emits a
-    ``security.check`` trace event, which is what puts audited checks into
-    exported JSONL traces.
+    security manager passes its owning VM).  The record is the one count
+    of the decision: the registry reads ``security.checks`` (and its
+    ``app``/``decision`` breakdown) from the log.  When someone is
+    listening this also emits a ``security.check`` trace event, which is
+    what puts audited checks into exported JSONL traces.
     """
     application = _current_application()
     if application is not None:
@@ -150,8 +153,6 @@ def audit_check(permission, granted: bool, manager: str,
                      user=user, app_id=app_id, app_name=app_name,
                      ptype=ptype, target=target, actions=actions,
                      phase=phase, stack=stack)
-    hub.metrics.counter("security.checks", app=app_name or "",
-                        decision="grant" if granted else "deny").inc()
     tracer = hub.tracer
     if tracer.recording:
         tracer.event("security.check", app=app_name,

@@ -219,9 +219,28 @@ class AuditLog:
 
     def collect(self) -> dict:
         """The decision counts, for the VM's metrics registry."""
-        return {"security.grants": self.grants,
+        return {"security.checks": self.grants + self.denies,
+                "security.grants": self.grants,
                 "security.denies": self.denies,
                 "security.audit.dropped": self.dropped}
+
+    def collect_labelled(self, match: dict) -> list[dict]:
+        """``security.checks{app,decision}`` counted over the ring, for
+        the registry's labelled reads: the per-application breakdown of
+        the decisions, as far back as the ring reaches."""
+        if not match.keys() <= {"app", "decision"}:
+            return []
+        app = match.get("app")
+        counts: dict = {}
+        for record in list(self._records):
+            name = record["app"] or ""
+            if app is None or name == app:
+                key = (name, "grant" if record["granted"] else "deny")
+                counts[key] = counts.get(key, 0) + 1
+        return [{"kind": "counter", "name": "security.checks",
+                 "labels": {"app": name, "decision": decision},
+                 "value": count}
+                for (name, decision), count in counts.items()]
 
     def __len__(self) -> int:
         return len(self._records)

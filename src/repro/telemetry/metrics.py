@@ -10,11 +10,13 @@ Design constraints, in order:
    acceptable for statistics (these are gauges of system health, not
    ledgers — the security *audit log* in :mod:`repro.telemetry.audit` is
    the reliable record).
-2. **Per-application labels.**  Every metric is keyed by its name plus a
-   sorted label tuple, so ``counter("limits.rejected", app="cat#3",
-   limit="max_threads")`` and the same counter for another application are
-   distinct time series — which is what lets ``/proc/<app-id>/metrics``
-   show only the owning application's slice.
+2. **Labels, but no series per application.**  Every metric is keyed by
+   its name plus a sorted label tuple.  A series that every launch would
+   bump per application is kept unlabelled instead (``app.threads.started``,
+   ``reload.classes``): the per-application figure lives on the
+   application and is freed with it.  The owner publishes that breakdown
+   through :meth:`MetricsRegistry.collect_labelled`, which is what still
+   lets ``/proc/<app-id>/metrics`` show the owning application's slice.
 3. **Readable anywhere.**  :meth:`MetricsRegistry.snapshot`,
    :meth:`MetricsRegistry.render_text` and
    :meth:`MetricsRegistry.render_totals` produce stable, sorted output for
@@ -143,10 +145,11 @@ class MetricsRegistry:
     def __init__(self):
         self._metrics: dict = {}
         self._collectors: tuple = ()
+        self._labelled: tuple = ()
         self._lock = threading.Lock()
 
     def _get(self, cls, name: str, labels: dict, extra=None):
-        key = (name, tuple(sorted(labels.items())))
+        key = (name, tuple(sorted(labels.items())) if labels else ())
         metric = self._metrics.get(key)
         if metric is None:
             with self._lock:
@@ -180,6 +183,20 @@ class MetricsRegistry:
         with self._lock:
             self._collectors = self._collectors + (callback,)
 
+    def collect_labelled(self, names: Sequence[str],
+                         callback: Callable[[dict], list]) -> None:
+        """Publish a per-label breakdown of ``names`` that an owner keeps
+        itself (each live application's thread counts, the audit log's
+        decisions per app): ``callback(match)`` returns described entries
+        (``{"kind", "name", "labels", "value"}``), and those whose labels
+        include ``match`` join every read that names labels (a
+        :meth:`total` only when it asks for one of ``names``).  They
+        break down a total an unlabelled series or collected value
+        already carries, so reads without labels and ``len`` never see
+        them.  Register once per owner and VM."""
+        with self._lock:
+            self._labelled = self._labelled + ((frozenset(names), callback),)
+
     # -- read side -----------------------------------------------------------
 
     def _collected(self) -> dict:
@@ -187,6 +204,26 @@ class MetricsRegistry:
         for callback in self._collectors:
             values.update(callback())
         return values
+
+    def _breakdown(self, match: dict, name: Optional[str] = None) -> list:
+        """The published entries matching ``match`` (of ``name`` alone, if
+        given); entries with the same name and labels (two live
+        applications of one name) are summed, as a labelled series would
+        have counted them."""
+        wanted = set(match.items())
+        merged: dict = {}
+        for names, callback in self._labelled:
+            if name is not None and name not in names:
+                continue
+            for entry in callback(match):
+                if wanted.issubset(entry["labels"].items()):
+                    labels = tuple(sorted(entry["labels"].items()))
+                    key = (entry["name"], labels)
+                    if key in merged:
+                        merged[key]["value"] += entry["value"]
+                    else:
+                        merged[key] = entry
+        return list(merged.values())
 
     def _matching(self, match: dict) -> list:
         with self._lock:
@@ -198,9 +235,12 @@ class MetricsRegistry:
 
     def snapshot(self, **match) -> list[dict]:
         """Describe all metrics whose labels are a superset of ``match``;
-        collected values (no labels) match only an empty ``match``."""
+        collected values (no labels) match only an empty ``match``, and
+        labelled breakdowns only a non-empty one."""
         described = [m.describe() for m in self._matching(match)]
-        if not match:
+        if match:
+            described.extend(self._breakdown(match))
+        else:
             described.extend(
                 {"kind": "collected", "name": name, "labels": {},
                  "value": value}
@@ -244,10 +284,16 @@ class MetricsRegistry:
 
     def total(self, name: str, **match) -> float:
         """Sum of a counter/gauge across matching label sets (rollups),
-        plus the collected value of that name when ``match`` is empty."""
+        plus the collected value of that name when ``match`` is empty, or
+        its labelled breakdown when it is not."""
         value = sum(m.value for m in self._matching(match)
                     if m.name == name and m.kind in ("counter", "gauge"))
-        if not match:
+        if match:
+            value += sum(entry["value"]
+                         for entry in self._breakdown(match, name)
+                         if entry["name"] == name
+                         and entry["kind"] in ("counter", "gauge"))
+        else:
             value += self._collected().get(name, 0)
         return value
 

@@ -17,7 +17,9 @@ each file's lines come from::
     /proc/policy/<app-id>     an application's phase and inferred-vs-live
                               policy delta
     /proc/<app-id>/status     one application's identity and accounting
-    /proc/<app-id>/metrics    its slice of the metrics registry
+    /proc/<app-id>/metrics    its labelled slice of the registry: the
+                              application's own figures and its
+                              ``security.checks`` from the audit log
     /proc/<app-id>/audit      its tail of the security audit log (JSONL)
 
 The five counter files name no counter here: each is

@@ -78,6 +78,25 @@ class TestThreadGroupTree:
             done.set()
             thread.join(2)
 
+    def test_destroy_with_live_thread_in_subgroup_changes_nothing(self,
+                                                                   root):
+        """A live thread anywhere below refuses the destroy before any
+        subgroup is destroyed."""
+        child = ThreadGroup(root, "child")
+        empty = ThreadGroup(child, "empty")
+        busy = ThreadGroup(child, "busy")
+        done = threading.Event()
+        thread = JThread(target=done.wait, name="t", group=busy, args=(2,))
+        thread.start()
+        try:
+            with pytest.raises(IllegalThreadStateException):
+                child.destroy()
+            assert not empty.destroyed and not busy.destroyed
+            assert child.enumerate_groups() == [empty, busy]
+        finally:
+            done.set()
+            thread.join(2)
+
     def test_add_to_destroyed_group_fails(self, root):
         child = ThreadGroup(root, "child")
         child.destroy()
@@ -315,3 +334,95 @@ class TestOwningApplication:
         assert owning_application(grandchild) is marker
         assert owning_application(child) is marker
         assert owning_application(root) is None
+
+    def test_destroyed_group_belongs_to_no_application(self, root):
+        """The reaper cuts a destroyed group's link; the walk must stop
+        there rather than reach the parent's application."""
+        parent = ThreadGroup(root, "parent")
+        parent.application = object()
+        child = ThreadGroup(parent, "child")
+        nested = ThreadGroup(child, "nested")
+        child.application = object()
+        child.destroy()
+        child.application = None
+        assert owning_application(child) is None
+        assert owning_application(nested) is None
+
+
+class TestFailedStart:
+    """A backing that fails to start leaves the thread uncounted."""
+
+    @staticmethod
+    def _stopping_scheduler():
+        from repro.sched import Scheduler
+        scheduler = Scheduler(name="stopping")
+        scheduler.start()
+        scheduler.shutdown()
+        return scheduler
+
+    def test_task_backing_refused_by_stopping_loop(self, vm, monkeypatch):
+        monkeypatch.setattr(vm, "ensure_scheduler",
+                            self._stopping_scheduler)
+        before = vm.non_daemon_count
+
+        def body():
+            yield
+
+        thread = JThread(target=body, group=vm.main_group, daemon=False)
+        with pytest.raises(IllegalStateException):
+            thread.start()
+        assert not thread.is_alive() and not thread.started
+        assert vm.non_daemon_count == before
+        assert thread not in vm.main_group.enumerate_threads()
+
+    def test_os_backing_refused(self, vm, monkeypatch):
+        import types
+
+        from repro.jvm import threads as threads_module
+
+        class NoThread(threading.Thread):
+            def start(self):
+                raise RuntimeError("can't start new thread")
+
+        fake = types.SimpleNamespace(**vars(threading))
+        fake.Thread = NoThread
+        monkeypatch.setattr(threads_module, "threading", fake)
+        before = vm.non_daemon_count
+        thread = JThread(target=lambda: None, group=vm.main_group,
+                         daemon=False)
+        with pytest.raises(RuntimeError):
+            thread.start()
+        monkeypatch.undo()
+        assert not thread.is_alive() and not thread.started
+        assert vm.non_daemon_count == before
+        assert thread not in vm.main_group.enumerate_threads()
+
+    def test_app_still_exits_and_is_reaped(self, host, register_app,
+                                           monkeypatch):
+        """The refused thread no longer holds its application open."""
+        from repro.core.execspec import ExecSpec
+
+        outcome = {}
+
+        def worker():
+            yield
+
+        def main(jclass, ctx, args):
+            thread = JThread(target=worker, daemon=False)
+            try:
+                thread.start()
+            except IllegalStateException as exc:
+                outcome["error"] = exc
+            outcome["alive"] = thread.is_alive()
+            outcome["live"] = len(ctx.app.live_threads())
+            return 0
+
+        monkeypatch.setattr(host.vm, "ensure_scheduler",
+                            self._stopping_scheduler)
+        app = host.launch(ExecSpec(register_app("Refused", main), ()))
+        assert app.wait_for(5) == 0
+        monkeypatch.undo()
+        assert isinstance(outcome["error"], IllegalStateException)
+        assert outcome["alive"] is False
+        assert outcome["live"] == 1
+        assert app.non_daemon_count == 0

@@ -208,15 +208,11 @@ class TestVmstatRenderer:
             app = host.launch(ExecSpec("tools.True", []))
             assert app.wait_for(10) == 0
 
-        def loader_series() -> int:
-            return sum(1 for described in metrics.snapshot()
-                       if described["name"] == "classload.defined")
-
         launch_one()
         before = set(_vmstat(host))
-        loaders_before = loader_series()
+        series_before = len(metrics)
         for _ in range(100):
             launch_one()
         assert set(_vmstat(host)) == before
-        # ...although each launch added a classload.defined series.
-        assert loader_series() >= loaders_before + 100
+        # ...and no series: each application's figures live on it.
+        assert len(metrics) == series_before
