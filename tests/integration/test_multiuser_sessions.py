@@ -4,6 +4,7 @@ the multi-user system of Section 2, driven end-to-end."""
 import pytest
 
 from repro.core.execspec import ExecSpec
+from repro.sched.timers import poll_until
 from repro.tools.terminal import TerminalDevice
 
 
@@ -25,6 +26,13 @@ def login_on(mvm, device, user, password):
     device.type_line(password)
     assert device.wait_for_output("$ "), device.transcript()
     return app
+
+
+def wait_for_count(device, needle, count, timeout=5.0):
+    """Poll until ``needle`` has appeared ``count`` times on the screen:
+    a later prompt, not the one a previous session already printed."""
+    return poll_until(lambda: device.transcript().count(needle) >= count,
+                      timeout=timeout)
 
 
 def test_concurrent_sessions_have_independent_identities(host, consoles):
@@ -86,12 +94,12 @@ def test_logout_returns_to_login_prompt(host, consoles):
     assert tty1.wait_for_output("logged out")
     # A fresh login prompt appears; Bob can take over the same terminal.
     assert tty1.wait_for_output("logged out")
-    deadline_ok = tty1.wait_for_output("login: ")
+    deadline_ok = wait_for_count(tty1, "login: ", 2)
     assert deadline_ok
     count_before = tty1.transcript().count("login: ")
     assert count_before >= 2
     tty1.type_line("bob")
-    assert tty1.wait_for_output("Password: ")
+    assert wait_for_count(tty1, "Password: ", 2)
     tty1.type_line("builder")
     assert tty1.wait_for_output("bob@javaos")
     tty1.type_line("exit")
