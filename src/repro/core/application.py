@@ -69,11 +69,13 @@ STATE_TERMINATED = "terminated"
 
 #: Exit code reported when an application is killed from outside.
 KILLED_EXIT_CODE = 143
+#: Exit code of an application whose main thread never started.
+START_FAILED_EXIT_CODE = 1
 
 #: The VM-level series whose ``app=`` breakdown each live application
 #: publishes from its own state (:meth:`Application.figures`).
 APP_FIGURES = ("app.threads.started", "app.threads.live", "reload.classes",
-               "reload.bytes", "app.phase.transitions")
+               "reload.bytes", "app.phase.transitions", "security.checks")
 
 
 @dataclass(frozen=True)
@@ -241,6 +243,10 @@ class Application:
         #: counterpart of the resource limits.
         self.stats = {"threads": 0, "streams": 0, "windows": 0,
                       "children": 0}
+        #: Security decisions made in this application, by outcome
+        #: (bumped by :func:`repro.telemetry.audit_check`).
+        self.checks_granted = 0
+        self.checks_denied = 0
 
         #: Cross-thread lifecycle span: begun by ``_start`` on the
         #: launching thread, ended by the reaper in ``_teardown``.
@@ -290,6 +296,7 @@ class Application:
                 or (parent.user.name if parent is not None else "")
             ticket = admission.admit(account or "<null>",
                                      timeout=spec.admission_timeout)
+        application = None
         try:
             application = cls(vm, spec.class_name, parent=parent,
                               **spec.state_overrides())
@@ -306,6 +313,10 @@ class Application:
         except BaseException:
             if ticket is not None:
                 ticket.release()
+            if application is not None:
+                # Constructed but never running main: end it like a JVM
+                # whose main class fails to load, so the reaper frees it.
+                application._begin_exit(START_FAILED_EXIT_CODE)
             raise
         return application
 
@@ -469,6 +480,17 @@ class Application:
                 self._non_daemon += 1
         self.vm.telemetry.metrics.counter("app.threads.started").inc()
         thread.finish_hooks.append(self._on_thread_finished)
+
+    def _unadopt_thread(self, thread: JThread) -> None:
+        """Undo :meth:`adopt_thread` for a thread whose backing failed to
+        start: the counts only, so a thread that never ran triggers no
+        auto-exit."""
+        thread.finish_hooks.remove(self._on_thread_finished)
+        with self._cond:
+            self._threads.remove(thread)
+            if not thread.daemon:
+                self._non_daemon -= 1
+            self._cond.notify_all()
 
     def _on_thread_finished(self, thread: JThread) -> None:
         auto = False
@@ -778,9 +800,10 @@ class Application:
         return self.state == STATE_TERMINATED
 
     def figures(self) -> list[dict]:
-        """This application's slice of the VM-level ``app.*`` and
-        ``reload.*`` series, as described metric entries labelled
-        ``app=<name>``: read from its own state, so freed with it."""
+        """This application's slice of the VM-level ``app.*``,
+        ``reload.*`` and ``security.checks`` series, as described metric
+        entries labelled ``app=<name>``: read from its own state, so
+        freed with it."""
         app = {"app": self.name}
         loader = self.loader
 
@@ -796,7 +819,12 @@ class Application:
                 entry("counter", "reload.classes", loader.reloaded_classes),
                 entry("counter", "reload.bytes", loader.reloaded_bytes),
                 *(entry("counter", "app.phase.transitions", 1, phase=phase)
-                  for phase in phases)]
+                  for phase in phases),
+                *(entry("counter", "security.checks", count,
+                        decision=decision)
+                  for decision, count in (("grant", self.checks_granted),
+                                          ("deny", self.checks_denied))
+                  if count)]
 
     def _is_terminal(self) -> bool:
         """Lock-free terminal predicate for scheduler wait-objects.
@@ -880,13 +908,21 @@ class ApplicationRegistry:
                                         for a in applications)}
 
     def _app_figures(self, match: dict) -> list[dict]:
-        """The live applications' own figures, for labelled reads."""
+        """The live applications' own figures, for labelled reads, and
+        the ``security.checks`` of reaped applications and host threads,
+        counted over the audit ring.  Those fall as the ring drops old
+        records; a read naming a live application skips the ring."""
         name = match.get("app")
         with self._lock:
+            live_ids = set(self._applications)
             applications = [a for a in self._applications.values()
                             if name is None or a.name == name]
-        return [entry for application in applications
-                for entry in application.figures()]
+        entries = [entry for application in applications
+                   for entry in application.figures()]
+        if name is None or not applications:
+            entries.extend(self.vm.telemetry.audit.collect_labelled(
+                match, skip=live_ids))
+        return entries
 
     def schedule_destruction(self, application: Application) -> None:
         with self._queue_cond:

@@ -352,11 +352,20 @@ class JThread:
         """Mark this thread started, adopt it into its application and
         count it in the VM.
 
-        The application may refuse the thread (a ``max_threads`` limit,
-        an exiting application); the refusal is re-raised and leaves
-        the thread unstarted, out of its group and out of VM accounting.
+        A destroyed group takes no threads (``ThreadGroup.add`` throws in
+        Java), so a thread built in it never runs outside every
+        application.  The application may refuse the thread (a
+        ``max_threads`` limit, an exiting application); the refusal is
+        re-raised and leaves the thread unstarted, out of its group and
+        out of VM accounting.
         """
-        self._started = True
+        with _tree_lock:
+            # Under the tree lock, so destroy() sees this thread alive or
+            # this check sees the group destroyed.
+            if self.group._destroyed:
+                raise IllegalThreadStateException(
+                    f"thread group {self.group.name} has been destroyed")
+            self._started = True
         application = owning_application(self.group)
         if application is not None:
             try:
@@ -373,16 +382,19 @@ class JThread:
         """Undo :meth:`_account_start` for a backing that failed to start
         (a loop shutting down, no OS thread to be had): the thread is
         left unstarted, out of its group, its application and VM
-        accounting, as a refused adopt leaves it."""
+        accounting, as a refused adopt leaves it.  Only the counts are
+        undone: a thread that never ran ends neither its application
+        nor the VM."""
+        # Resolved while the thread still counts as alive, so its group
+        # cannot be destroyed under the walk.
+        application = owning_application(self.group)
         self._started = False
         self.group._remove_thread(self)
-        application = owning_application(self.group)
         if application is not None:
-            self.finish_hooks.remove(application._on_thread_finished)
-            application._on_thread_finished(self)
+            application._unadopt_thread(self)
         vm = self.group.vm
         if vm is not None:
-            vm.thread_finished(self)
+            vm.thread_unstarted(self)
 
     def start(self) -> None:
         """Start the body; its type alone picks the backing.

@@ -274,6 +274,14 @@ class VirtualMachine:
             # whatever they were doing."
             self._begin_shutdown(0)
 
+    def thread_unstarted(self, thread: JThread) -> None:
+        """Undo :meth:`thread_started` for a thread whose backing failed
+        to start; the last-non-daemon shutdown rule does not apply."""
+        if thread.daemon:
+            return
+        with self._accounting:
+            self._non_daemon -= 1
+
     @property
     def non_daemon_count(self) -> int:
         with self._accounting:

@@ -74,8 +74,6 @@ class TelemetryHub:
         self.audit = AuditLog(audit_capacity if audit_capacity is not None
                               else AUDIT_CAPACITY)
         self.metrics.collect(self.audit.collect)
-        self.metrics.collect_labelled(("security.checks",),
-                                      self.audit.collect_labelled)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"TelemetryHub({self.name!r}, metrics={len(self.metrics)}, "
@@ -114,8 +112,9 @@ def audit_check(permission, granted: bool, manager: str,
     Resolves the current application for the user / application columns;
     ``vm`` is a fallback hub source for checks made from host threads (the
     security manager passes its owning VM).  The record is the one count
-    of the decision: the registry reads ``security.checks`` (and its
-    ``app``/``decision`` breakdown) from the log.  When someone is
+    of the decision: the registry reads ``security.checks`` from the
+    log, and the application, which keeps its own grant and deny counts
+    for its ``app``/``decision`` breakdown.  When someone is
     listening this also emits a ``security.check`` trace event, which is
     what puts audited checks into exported JSONL traces.
     """
@@ -125,6 +124,10 @@ def audit_check(permission, granted: bool, manager: str,
         user = application.user.name
         app_id = application.app_id
         app_name = application.name
+        if granted:
+            application.checks_granted += 1
+        else:
+            application.checks_denied += 1
     else:
         hub = vm.telemetry if vm is not None else GLOBAL_HUB
         user = None

@@ -33,7 +33,7 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 AUDIT_CAPACITY = 4096
 
@@ -224,17 +224,20 @@ class AuditLog:
                 "security.denies": self.denies,
                 "security.audit.dropped": self.dropped}
 
-    def collect_labelled(self, match: dict) -> list[dict]:
-        """``security.checks{app,decision}`` counted over the ring, for
-        the registry's labelled reads: the per-application breakdown of
-        the decisions, as far back as the ring reaches."""
+    def collect_labelled(self, match: dict,
+                         skip: Collection[int] = ()) -> list[dict]:
+        """``security.checks{app,decision}`` counted over the ring for
+        records whose ``app_id`` is not in ``skip`` (the applications
+        that count their own): the breakdown of the other decisions, as
+        far back as the ring reaches."""
         if not match.keys() <= {"app", "decision"}:
             return []
         app = match.get("app")
         counts: dict = {}
         for record in list(self._records):
             name = record["app"] or ""
-            if app is None or name == app:
+            if (app is None or name == app) \
+                    and record["app_id"] not in skip:
                 key = (name, "grant" if record["granted"] else "deny")
                 counts[key] = counts.get(key, 0) + 1
         return [{"kind": "counter", "name": "security.checks",

@@ -186,8 +186,8 @@ class MetricsRegistry:
     def collect_labelled(self, names: Sequence[str],
                          callback: Callable[[dict], list]) -> None:
         """Publish a per-label breakdown of ``names`` that an owner keeps
-        itself (each live application's thread counts, the audit log's
-        decisions per app): ``callback(match)`` returns described entries
+        itself (each live application's thread counts and security
+        decisions): ``callback(match)`` returns described entries
         (``{"kind", "name", "labels", "value"}``), and those whose labels
         include ``match`` join every read that names labels (a
         :meth:`total` only when it asks for one of ``names``).  They

@@ -18,8 +18,8 @@ each file's lines come from::
                               policy delta
     /proc/<app-id>/status     one application's identity and accounting
     /proc/<app-id>/metrics    its labelled slice of the registry: the
-                              application's own figures and its
-                              ``security.checks`` from the audit log
+                              application's own figures, its
+                              ``security.checks`` included
     /proc/<app-id>/audit      its tail of the security audit log (JSONL)
 
 The five counter files name no counter here: each is

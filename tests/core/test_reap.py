@@ -22,7 +22,7 @@ from repro.jvm.errors import (
     IllegalStateException,
     IllegalThreadStateException,
 )
-from repro.jvm.threads import JThread, owning_application
+from repro.jvm.threads import JThread, ThreadGroup, owning_application
 
 
 def wait_until(predicate, timeout=10.0):
@@ -214,6 +214,46 @@ class TestReapingEdgeCases:
         finally:
             release.set()
         assert wait_until(lambda: not app.live_threads())
+
+    def test_unstarted_thread_of_a_reaped_app_never_runs(self, host,
+                                                        register_app):
+        """A thread built but not started before its application was
+        reaped cannot start later and run outside every application."""
+        built = {}
+
+        def main(jclass, ctx, args):
+            built["thread"] = JThread(target=lambda: None, name="late")
+            return 0
+
+        app = host.launch(ExecSpec(register_app("Builder", main), ()))
+        assert app.wait_for(10) == 0
+        assert wait_until(lambda: reaped(host, app))
+        thread = built["thread"]
+        with pytest.raises(IllegalThreadStateException):
+            thread.start()
+        assert not thread.started
+
+    def test_thread_in_a_destroyed_subgroup_never_runs(self, host,
+                                                       register_app):
+        """An application that destroys its own subgroup cannot then
+        start a thread built in it as an unowned host thread."""
+        outcome = {}
+
+        def main(jclass, ctx, args):
+            group = ThreadGroup(ctx.app.thread_group, "x")
+            thread = JThread(target=lambda: None, group=group)
+            group.destroy()
+            try:
+                thread.start()
+            except IllegalThreadStateException as exc:
+                outcome["error"] = exc
+            outcome["started"] = thread.started
+            return 0
+
+        app = host.launch(ExecSpec(register_app("Escaper", main), ()))
+        assert app.wait_for(10) == 0
+        assert isinstance(outcome["error"], IllegalThreadStateException)
+        assert outcome["started"] is False
 
     def test_reaped_app_is_gone_from_ps_and_proc(self, host, register_app,
                                                  capture):

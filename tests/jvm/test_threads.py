@@ -103,6 +103,19 @@ class TestThreadGroupTree:
         with pytest.raises(IllegalThreadStateException):
             ThreadGroup(child, "grandchild")
 
+    def test_start_in_destroyed_group_fails(self, root):
+        """A thread built in a group that is destroyed before it starts
+        never runs (Java's ThreadGroup.add throws)."""
+        child = ThreadGroup(root, "child")
+        ran = []
+        thread = JThread(target=lambda: ran.append(1), name="t",
+                         group=child)
+        child.destroy()
+        with pytest.raises(IllegalThreadStateException):
+            thread.start()
+        assert not thread.started and not thread.is_alive()
+        assert ran == []
+
 
 class TestThreadLifecycle:
     def test_target_runs_and_finishes(self, root):
@@ -426,3 +439,54 @@ class TestFailedStart:
         assert outcome["alive"] is False
         assert outcome["live"] == 1
         assert app.non_daemon_count == 0
+
+    def test_failed_start_does_not_shut_the_vm_down(self, vm, monkeypatch):
+        """Undoing a failed start only restores the counts: the VM's only
+        non-daemon thread failing to start is not its last one ending."""
+        assert vm.exit_when_last_nondaemon
+        monkeypatch.setattr(vm, "ensure_scheduler",
+                            self._stopping_scheduler)
+
+        def body():
+            yield
+
+        thread = JThread(target=body, group=vm.main_group, daemon=False)
+        with pytest.raises(IllegalStateException):
+            thread.start()
+        assert vm.non_daemon_count == 0
+        assert vm.state == "booted"
+
+    def test_main_that_fails_to_start_ends_its_app_nonzero(self, host,
+                                                           register_app,
+                                                           monkeypatch):
+        """A main thread that never starts is no clean exit: the launch
+        raises and the application ends with a non-zero code."""
+        from repro.core.execspec import ExecSpec
+
+        registry = host.vm.application_registry
+        register = registry.register
+        launched = []
+
+        def recording(application):
+            launched.append(application)
+            register(application)
+
+        def main(jclass, ctx, args):
+            return 0
+            yield  # pragma: no cover - makes main a generator function
+
+        class_name = register_app("NeverRan", main)
+        monkeypatch.setattr(registry, "register", recording)
+        monkeypatch.setattr(host.vm, "ensure_scheduler",
+                            self._stopping_scheduler)
+        with pytest.raises(IllegalStateException):
+            host.launch(ExecSpec(class_name, ()))
+        monkeypatch.undo()
+        app, = launched
+        code = app.wait_for(5)
+        assert code is not None and code != 0
+        deadline = time.monotonic() + 5.0
+        while registry.find(app.app_id) is not None \
+                and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert registry.find(app.app_id) is None

@@ -49,6 +49,44 @@ class TestAuditTrail:
                                                  granted=True)
         assert any("/etc/motd" in r["permission"] for r in grants)
 
+    def test_live_app_counts_survive_the_ring(self, host, register_app):
+        """A live application's ``security.checks`` breakdown is kept on
+        the application, so it does not fall as other records push its
+        own out of the audit ring."""
+        import threading
+
+        checked = threading.Event()
+        release = threading.Event()
+
+        def main(jclass, ctx, args):
+            try:
+                read_text(ctx, "/home/alice/notes.txt")
+            except (IOException, SecurityException):
+                pass
+            checked.set()
+            release.wait(10.0)
+            return 0
+
+        bob = host.vm.user_database.lookup("bob")
+        app = host.launch(ExecSpec(register_app("Holder", main), [],
+                                   user=bob, name="holder"))
+        try:
+            assert checked.wait(10.0)
+            metrics = host.vm.telemetry.metrics
+            denied = metrics.total("security.checks", app="holder",
+                                   decision="deny")
+            assert denied >= 1
+            audit = host.vm.telemetry.audit
+            for _ in range(audit._records.maxlen):
+                audit.record(check="checkPermission", permission="x",
+                             granted=True)
+            assert not audit.records(app_id=app.app_id)
+            assert metrics.total("security.checks", app="holder",
+                                 decision="deny") == denied
+        finally:
+            release.set()
+        assert app.wait_for(10) == 0
+
     def test_counters_mirror_the_log(self, host, register_app):
         def main(jclass, ctx, args):
             try:
