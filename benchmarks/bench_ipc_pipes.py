@@ -11,6 +11,8 @@ Unix pipe with its two kernel copies.
 import os
 import sys
 import time
+from functools import partial
+from itertools import chain
 
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 
@@ -25,6 +27,7 @@ from repro.core.execspec import ExecSpec  # noqa: E402
 from repro.io.streams import (  # noqa: E402
     BufferedInputStream,
     InputStream,
+    LineReader,
     make_pipe,
 )
 from repro.jvm.threads import JThread, ThreadGroup  # noqa: E402
@@ -96,7 +99,7 @@ def test_bench_in_vm_pipe_throughput(benchmark):
 def test_bench_line_read_buffered_vs_unbuffered(benchmark):
     """Transport fast path, layer 1: ``read_line`` through a pipe.
 
-    Three paths, each timed explicitly:
+    Four paths, each timed explicitly:
 
     * lock per byte: the generic ``InputStream.read_line`` loop
       (``read_byte`` → ``read(1)``, one pipe condition acquisition per
@@ -104,7 +107,9 @@ def test_bench_line_read_buffered_vs_unbuffered(benchmark):
     * lock per line: ``PipedInputStream.read_line``, one lock session
       per line and no read-ahead (the shell's shared stdin);
     * buffered: ``BufferedInputStream``, lock traffic scales with 8 KB
-      chunks.  The dist protocol reads every frame through it.
+      chunks.  The dist protocol reads every frame through it;
+    * line blocks: ``LineReader.line_blocks``, one 8 KB read and one
+      decode per block of lines — how ``grep`` and ``uniq`` read.
     """
     root = ThreadGroup(None, "system")
 
@@ -148,22 +153,30 @@ def test_bench_line_read_buffered_vs_unbuffered(benchmark):
         lambda reader: lambda: InputStream.read_line(reader))
     lock_per_line_lines_s = inline_lines_s(
         lambda reader: reader.read_line)
+    line_blocks_lines_s = inline_lines_s(
+        lambda reader: partial(next, chain.from_iterable(
+            LineReader(reader).line_blocks()), None))
 
-    print(banner("C2b-line: pipe read_line — per byte, per line, buffered"))
+    print(banner("C2b-line: pipe line reads — per byte, per line, "
+                 "buffered, blocks"))
     print(f"unbuffered (lock per byte):   {unbuffered_lines_s:10.0f} "
           f"lines/s")
     print(f"ring scan (lock per line):    {lock_per_line_lines_s:10.0f} "
           f"lines/s")
     print(f"buffered (lock per chunk):    {buffered_lines_s:10.0f} "
           f"lines/s")
+    print(f"line blocks (decode per read):{line_blocks_lines_s:10.0f} "
+          f"lines/s")
     print(f"advantage over per byte: per line "
           f"x{lock_per_line_lines_s / unbuffered_lines_s:0.1f}, "
-          f"buffered x{buffered_lines_s / unbuffered_lines_s:0.1f}")
+          f"buffered x{buffered_lines_s / unbuffered_lines_s:0.1f}, "
+          f"blocks x{line_blocks_lines_s / unbuffered_lines_s:0.1f}")
     record_bench("ipc", {
         "bench": "line_read", "lines": LINES, "smoke": SMOKE,
         "buffered_lines_s": buffered_lines_s,
         "unbuffered_lines_s": unbuffered_lines_s,
-        "lock_per_line_lines_s": lock_per_line_lines_s})
+        "lock_per_line_lines_s": lock_per_line_lines_s,
+        "line_blocks_lines_s": line_blocks_lines_s})
     assert buffered_lines_s > unbuffered_lines_s, \
         "buffered line reads must beat one-lock-per-byte reads"
     assert lock_per_line_lines_s > unbuffered_lines_s, \

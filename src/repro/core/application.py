@@ -475,11 +475,16 @@ class Application:
             if maximum is not None and live >= maximum:
                 raise self._limit_rejected("max_threads", "thread", maximum)
             self._threads.append(thread)
-            self.stats["threads"] += 1
             if not thread.daemon:
                 self._non_daemon += 1
-        self.vm.telemetry.metrics.counter("app.threads.started").inc()
         thread.finish_hooks.append(self._on_thread_finished)
+
+    def _count_started_thread(self) -> None:
+        """Count an adopted thread whose backing has started; one whose
+        start failed is undone by :meth:`_unadopt_thread` uncounted."""
+        with self._cond:
+            self.stats["threads"] += 1
+        self.vm.telemetry.metrics.counter("app.threads.started").inc()
 
     def _unadopt_thread(self, thread: JThread) -> None:
         """Undo :meth:`adopt_thread` for a thread whose backing failed to

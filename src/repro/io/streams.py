@@ -21,7 +21,7 @@ application reaper can always tear a pipeline down.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.jvm.errors import (
     EOFException,
@@ -1039,6 +1039,14 @@ class PrintStream(OutputStream):
     def printf(self, template: str, *args: object) -> None:
         self.write(template % args if args else template)
 
+    def peek_error(self) -> bool:
+        """The error flag alone: unlike :meth:`check_error`, no flush.
+
+        A tool polls it after each block it writes, so a stage whose
+        reader has gone stops (the SIGPIPE analogue) without adding a
+        flush, and so a frame, to a coalescing sink."""
+        return self._error
+
     def check_error(self) -> bool:
         with self._lock:
             try:
@@ -1078,6 +1086,40 @@ class LineReader:
         if raw is None:
             return None
         return raw.decode(self._encoding, errors="replace")
+
+    def line_blocks(self) -> Iterator[list[str]]:
+        """The rest of the stream as blocks of lines, one block per read.
+
+        Each ``read`` asks for up to :data:`DEFAULT_BUFFER_SIZE` bytes;
+        the data is cut at its last ``\\n``, decoded once, and yielded
+        as that block's lines without their terminators.  The bytes after
+        the cut are carried to the next read as a list of pieces, joined
+        once when their newline arrives, so a long unterminated line is
+        not re-copied per read.  A final unterminated line comes last,
+        as :meth:`read_line` returns it.  Flattened, the blocks equal
+        repeated :meth:`read_line` calls.
+
+        It reads ahead of the lines it has yielded, so only a reader
+        that consumes its stream to the end may use it: never a shared
+        stdin whose next line belongs to another reader (§5.1).
+        """
+        read, encoding = self._source.read, self._encoding
+        carry: list[bytes] = []
+        while chunk := read(DEFAULT_BUFFER_SIZE):
+            cut = chunk.rfind(b"\n")
+            if cut < 0:
+                carry.append(chunk)
+                continue
+            head = chunk[:cut]
+            if carry:
+                carry.append(head)
+                head = b"".join(carry)
+                carry = []
+            if cut + 1 < len(chunk):
+                carry.append(chunk[cut + 1:])
+            yield head.decode(encoding, errors="replace").split("\n")
+        if carry:
+            yield [b"".join(carry).decode(encoding, errors="replace")]
 
     def read_all(self) -> str:
         return self._source.read_all().decode(self._encoding,

@@ -307,7 +307,9 @@ class JThread:
         thread._init_fields(name, group, daemon)
         thread._python_thread = threading.current_thread()
         group._add_thread(thread)
-        thread._account_start()
+        application = thread._account_start()
+        if application is not None:
+            application._count_started_thread()
         with _registry_lock:
             _current_jthreads[threading.get_ident()] = thread
         return thread
@@ -348,9 +350,9 @@ class JThread:
             return self.run()
         return None
 
-    def _account_start(self) -> None:
+    def _account_start(self):
         """Mark this thread started, adopt it into its application and
-        count it in the VM.
+        count it in the VM; returns the application (or None).
 
         A destroyed group takes no threads (``ThreadGroup.add`` throws in
         Java), so a thread built in it never runs outside every
@@ -377,17 +379,15 @@ class JThread:
         vm = self.group.vm
         if vm is not None:
             vm.thread_started(self)
+        return application
 
-    def _unaccount_start(self) -> None:
+    def _unaccount_start(self, application) -> None:
         """Undo :meth:`_account_start` for a backing that failed to start
         (a loop shutting down, no OS thread to be had): the thread is
         left unstarted, out of its group, its application and VM
         accounting, as a refused adopt leaves it.  Only the counts are
         undone: a thread that never ran ends neither its application
-        nor the VM."""
-        # Resolved while the thread still counts as alive, so its group
-        # cannot be destroyed under the walk.
-        application = owning_application(self.group)
+        nor the VM, and it was never counted as started."""
         self._started = False
         self.group._remove_thread(self)
         if application is not None:
@@ -407,7 +407,7 @@ class JThread:
         if self._started:
             raise IllegalThreadStateException(
                 f"thread {self.name} already started")
-        self._account_start()
+        application = self._account_start()
         try:
             self._continuation = self._make_continuation()
             if self._continuation is not None:
@@ -419,17 +419,21 @@ class JThread:
                     scheduler = default_scheduler()
                 self._task = scheduler.spawn_task(
                     self._continuation, name=self.name, jthread=self)
-                return
-            # The Python-level thread is always a Python daemon: VM
-            # lifetime is tracked by our own accounting, never by the
-            # interpreter's.
-            self._python_thread = threading.Thread(
-                target=self._run_wrapper, name=self.name, daemon=True)
-            self._python_thread.start()
+            else:
+                # The Python-level thread is always a Python daemon: VM
+                # lifetime is tracked by our own accounting, never by
+                # the interpreter's.
+                self._python_thread = threading.Thread(
+                    target=self._run_wrapper, name=self.name, daemon=True)
+                self._python_thread.start()
         except BaseException:
             self._continuation = self._python_thread = None
-            self._unaccount_start()
+            self._unaccount_start(application)
             raise
+        # Counted only once the backing runs: a thread refused or failed
+        # to start never shows in ThreadsEver or app.threads.started.
+        if application is not None:
+            application._count_started_thread()
 
     def _run_wrapper(self) -> None:
         with _registry_lock:

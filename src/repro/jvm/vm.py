@@ -122,7 +122,6 @@ class VirtualMachine:
         self._exit_code: Optional[int] = None
         self._non_daemon = 0
         self._accounting = threading.Condition()
-        self._main_started = False
         self._terminated = threading.Event()
         self._shutdown_hooks: list[Callable[[], None]] = []
         self._finalizer_queue: list[Callable[[], None]] = []
@@ -256,7 +255,6 @@ class VirtualMachine:
             return
         with self._accounting:
             self._non_daemon += 1
-            self._main_started = True
 
     def thread_finished(self, thread: JThread) -> None:
         if thread.daemon:
@@ -264,8 +262,7 @@ class VirtualMachine:
         trigger = False
         with self._accounting:
             self._non_daemon -= 1
-            if (self._non_daemon <= 0 and self._main_started
-                    and self.exit_when_last_nondaemon):
+            if self._non_daemon <= 0 and self.exit_when_last_nondaemon:
                 trigger = True
             self._accounting.notify_all()
         if trigger:

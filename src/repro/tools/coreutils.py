@@ -15,6 +15,8 @@ non-zero status on failure.
 
 from __future__ import annotations
 
+from itertools import chain, islice
+
 from repro.io.file import (
     FileInputStream,
     FileOutputStream,
@@ -85,24 +87,20 @@ cat_material = _tool("tools.Cat", "Concatenate files to standard output.")
 
 @cat_material.member
 def main(jclass, ctx, args):  # noqa: F811
-    if not args:
-        while True:
-            chunk = ctx.stdin.read(8192)
-            if not chunk:
-                return 0
-            ctx.stdout.write(chunk)
     status = 0
-    for path in args:
+    for path in args or [None]:
         try:
-            stream = FileInputStream(ctx, path)
+            stream = ctx.stdin if path is None \
+                else FileInputStream(ctx, path)
             try:
-                while True:
-                    chunk = stream.read(8192)
-                    if not chunk:
-                        break
+                while chunk := stream.read(8192):
                     ctx.stdout.write(chunk)
+                    # The SIGPIPE analogue: the reader has gone.
+                    if ctx.stdout.peek_error():
+                        return 1
             finally:
-                stream.close()
+                if path is not None:
+                    stream.close()
         except (IOException, SecurityException) as exc:
             status = _fail(ctx, "cat", exc)
     return status
@@ -182,9 +180,14 @@ def main(jclass, ctx, args):  # noqa: F811
             index += 1
     try:
         if paths:
-            text = read_text(ctx, paths[0])
-            for line in text.splitlines()[:limit]:
-                ctx.stdout.println(line)
+            stream = FileInputStream(ctx, paths[0])
+            try:
+                lines = list(islice(chain.from_iterable(
+                    LineReader(stream).line_blocks()), max(limit, 0)))
+            finally:
+                stream.close()
+            if lines:
+                ctx.stdout.print("\n".join(lines) + "\n")
         else:
             reader = LineReader(ctx.stdin)
             for _ in range(limit):
@@ -211,28 +214,24 @@ def main(jclass, ctx, args):  # noqa: F811
         return 2
     pattern, paths = args[0], args[1:]
     matched = False
-
-    def scan(text: str, prefix: str = "") -> None:
-        nonlocal matched
-        for line in text.splitlines():
-            if pattern in line:
-                matched = True
-                ctx.stdout.println(prefix + line)
-
     try:
-        if paths:
-            for path in paths:
-                scan(read_text(ctx, path),
-                     prefix=f"{path}:" if len(paths) > 1 else "")
-        else:
-            reader = LineReader(ctx.stdin)
-            while True:
-                line = reader.read_line()
-                if line is None:
-                    break
-                if pattern in line:
+        for path in paths or [None]:
+            stream = ctx.stdin if path is None \
+                else FileInputStream(ctx, path)
+            prefix = f"{path}:" if len(paths) > 1 else ""
+            try:
+                for block in LineReader(stream).line_blocks():
+                    hits = [line for line in block if pattern in line]
+                    if not hits:
+                        continue
                     matched = True
-                    ctx.stdout.println(line)
+                    ctx.stdout.print(
+                        prefix + f"\n{prefix}".join(hits) + "\n")
+                    if ctx.stdout.peek_error():
+                        return 1
+            finally:
+                if path is not None:
+                    stream.close()
     except (IOException, SecurityException) as exc:
         return _fail(ctx, "grep", exc)
     return 0 if matched else 1
@@ -536,29 +535,29 @@ uniq_material = _tool("tools.Uniq", "Drop adjacent duplicate lines.")
 @uniq_material.member
 def main(jclass, ctx, args):  # noqa: F811
     count_mode = "-c" in args
-    reader = LineReader(ctx.stdin)
+
+    def render(count: int, line: str) -> str:
+        return f"{count:4d} {line}" if count_mode else line
+
     previous = None
     count = 0
-
-    def emit():
-        if previous is None:
-            return
-        if count_mode:
-            ctx.stdout.println(f"{count:4d} {previous}")
-        else:
-            ctx.stdout.println(previous)
-
-    while True:
-        line = reader.read_line()
-        if line is None:
-            break
-        if line == previous:
-            count += 1
-            continue
-        emit()
-        previous = line
-        count = 1
-    emit()
+    # ``previous`` and ``count`` carry over block seams, so a run of
+    # duplicates split across two reads still collapses to one line.
+    for block in LineReader(ctx.stdin).line_blocks():
+        kept = []
+        for line in block:
+            if line == previous:
+                count += 1
+                continue
+            if previous is not None:
+                kept.append(render(count, previous))
+            previous, count = line, 1
+        if kept:
+            ctx.stdout.print("\n".join(kept) + "\n")
+            if ctx.stdout.peek_error():
+                return 1
+    if previous is not None:
+        ctx.stdout.println(render(count, previous))
     return 0
 
 

@@ -327,7 +327,6 @@ class Shell:
 
         original = (self.app.stdin, self.app.stdout, self.app.stderr)
         opened: list = []        # streams the shell opened (must close)
-        stage_writers: list = []  # per-stage write ends to close on finish
         applications = []
         try:
             next_stdin = original[0]

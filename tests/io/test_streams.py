@@ -3,6 +3,7 @@
 import pytest
 
 from repro.io.streams import (
+    BufferedOutputStream,
     ByteArrayInputStream,
     ByteArrayOutputStream,
     CountingOutputStream,
@@ -172,6 +173,19 @@ class TestPrintStream:
         stream.println("this must not raise")
         assert stream.check_error()
 
+    def test_peek_error_reads_the_flag_without_a_flush(self):
+        reader, writer = make_pipe()
+        stream = PrintStream(writer)
+        assert not stream.peek_error()
+        reader.close()
+        stream.println("lost")
+        assert stream.peek_error()
+        sink = ByteArrayOutputStream()
+        buffered = PrintStream(BufferedOutputStream(sink), auto_flush=False)
+        buffered.print("held")
+        assert not buffered.peek_error()
+        assert sink.to_bytes() == b""
+
     def test_error_flag_clean_on_healthy_stream(self):
         stream = PrintStream(ByteArrayOutputStream())
         stream.println("ok")
@@ -198,6 +212,29 @@ class TestLineReader:
     def test_read_all(self):
         reader = LineReader(ByteArrayInputStream("héllo".encode()))
         assert reader.read_all() == "héllo"
+
+    def test_line_blocks_split_on_newline_only(self):
+        reader = LineReader(ByteArrayInputStream(b"a\r\nb\x0cc\n\nlast"))
+        assert list(reader.line_blocks()) == [["a\r", "b\x0cc", ""],
+                                              ["last"]]
+
+    def test_line_blocks_pass_a_2_mib_line_through_a_pipe_whole(self):
+        """A line with no newline, far over one block and the ring's
+        512 KiB ceiling, arrives as one line once the writer closes."""
+        line = b"x" * (2 * 1024 * 1024)
+        reader, writer = make_pipe()
+
+        def producer():
+            for offset in range(0, len(line), 65536):
+                writer.write(line[offset:offset + 65536])
+            writer.close()
+
+        thread = JThread(target=producer, group=ThreadGroup(None, "system"))
+        thread.start()
+        blocks = list(LineReader(reader).line_blocks())
+        thread.join(10)
+        assert len(blocks) == 1 and len(blocks[0]) == 1
+        assert blocks[0][0] == line.decode()
 
 
 class TestCombinators:

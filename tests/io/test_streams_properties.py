@@ -3,8 +3,11 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.io.streams import (
+    DEFAULT_BUFFER_SIZE,
     ByteArrayInputStream,
     ByteArrayOutputStream,
+    InputStream,
+    LineReader,
     make_pipe,
 )
 from repro.jvm.threads import JThread, ThreadGroup
@@ -100,3 +103,70 @@ def test_pipe_read_line_recovers_chunked_lines(lines, chunk_size, capacity):
         recovered.append(line)
     thread.join(10)
     assert recovered == lines
+
+
+class _SmallReads(InputStream):
+    """Caps each ``read`` at the next of ``sizes`` (cycled), so a block
+    boundary can fall anywhere: inside a line, a multi-byte sequence or
+    right after a newline."""
+
+    def __init__(self, source: InputStream, sizes: list[int]):
+        super().__init__()
+        self._source, self._sizes, self._turn = source, sizes, 0
+
+    def read(self, size: int = -1) -> bytes:
+        cap = self._sizes[self._turn % len(self._sizes)]
+        self._turn += 1
+        return self._source.read(cap if size < 0 else min(size, cap))
+
+
+def _pipe_holding(payload: bytes, write_sizes: list[int]):
+    """The read end of a closed pipe holding ``payload``, written in
+    ``write_sizes`` pieces (cycled)."""
+    reader, writer = make_pipe()
+    offset, turn = 0, 0
+    while offset < len(payload):
+        step = write_sizes[turn % len(write_sizes)]
+        writer.write(payload[offset:offset + step])
+        offset, turn = offset + step, turn + 1
+    writer.close()
+    return reader
+
+
+#: Pieces a line stream is built from: ASCII, a whole and a split
+#: three-byte sequence, bytes that are never valid UTF-8, a bare ``\r``
+#: and newlines, so empty lines and lines of replacement characters
+#: come up often.
+_PIECES = st.sampled_from([b"a", b"xyz", b"\xe2\x82\xac", b"\xe2", b"\x82\xac",
+                           b"\xff", b"\xc3", b"\r", b"\n", b"\n\n"])
+
+
+@given(pieces=st.lists(_PIECES, max_size=60),
+       long_line_at=st.none() | st.integers(min_value=0, max_value=60),
+       write_sizes=st.lists(st.integers(min_value=1, max_value=97),
+                            min_size=1, max_size=5),
+       read_sizes=st.lists(st.integers(min_value=1, max_value=53),
+                           min_size=1, max_size=5),
+       small_reads=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_line_blocks_flatten_to_read_line(pieces, long_line_at, write_sizes,
+                                          read_sizes, small_reads):
+    """Whatever the bytes and however writes and reads cut them,
+    ``line_blocks`` yields exactly the lines ``read_line`` would."""
+    if long_line_at is not None:
+        # A line longer than one block, so it crosses several reads.
+        pieces.insert(min(long_line_at, len(pieces)),
+                      b"L" * (DEFAULT_BUFFER_SIZE + 123))
+    payload = b"".join(pieces)
+
+    expected = []
+    by_line = LineReader(_pipe_holding(payload, write_sizes))
+    while (line := by_line.read_line()) is not None:
+        expected.append(line)
+
+    source = _pipe_holding(payload, write_sizes)
+    if small_reads:
+        source = _SmallReads(source, read_sizes)
+    blocks = list(LineReader(source).line_blocks())
+    assert all(blocks)
+    assert [line for block in blocks for line in block] == expected

@@ -440,6 +440,34 @@ class TestFailedStart:
         assert outcome["live"] == 1
         assert app.non_daemon_count == 0
 
+    def test_thread_that_never_ran_is_not_counted_started(
+            self, host, register_app, monkeypatch):
+        """ThreadsEver and ``app.threads.started`` count only threads
+        whose backing started: the refused worker is in neither."""
+        from repro.core.execspec import ExecSpec
+
+        metrics = host.vm.telemetry.metrics
+        seen = {}
+
+        def worker():
+            yield
+
+        def main(jclass, ctx, args):
+            with pytest.raises(IllegalStateException):
+                JThread(target=worker, daemon=False).start()
+            seen["ever"] = ctx.app.stats["threads"]
+            return 0
+
+        class_name = register_app("Uncounted", main)
+        before = metrics.total("app.threads.started")
+        monkeypatch.setattr(host.vm, "ensure_scheduler",
+                            self._stopping_scheduler)
+        app = host.launch(ExecSpec(class_name, ()))
+        assert app.wait_for(5) == 0
+        monkeypatch.undo()
+        assert seen["ever"] == app.stats["threads"] == 1  # main only
+        assert metrics.total("app.threads.started") - before == 1
+
     def test_failed_start_does_not_shut_the_vm_down(self, vm, monkeypatch):
         """Undoing a failed start only restores the counts: the VM's only
         non-daemon thread failing to start is not its last one ending."""

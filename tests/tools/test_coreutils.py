@@ -4,7 +4,7 @@ import time
 
 from repro.core.execspec import ExecSpec
 from repro.io.file import read_text, write_text
-from repro.io.streams import ByteArrayInputStream
+from repro.io.streams import ByteArrayInputStream, make_pipe
 
 
 def run_tool(mvm, class_name, args, capture, stdin=None, user=None,
@@ -186,6 +186,83 @@ class TestYes:
                      stdout=out.stream, stderr=out.stream))
         assert app.wait_for(10) == 0
         assert out.text.splitlines() == ["spam"] * 4
+
+
+class TestBrokenPipe:
+    """A stage whose stdout is gone stops: the SIGPIPE analogue."""
+
+    def _pipeline(self, host, capture, line):
+        out = capture()
+        app = host.launch(ExecSpec("tools.Shell", ["-c", line],
+                                   stdout=out.stream, stderr=out.stream))
+        return app.wait_for(10), out.text
+
+    def test_grep_stops_when_head_is_done(self, host, capture):
+        code, text = self._pipeline(host, capture,
+                                    "yes spam | grep spam | head -n 4")
+        assert code == 0
+        assert text.splitlines() == ["spam"] * 4
+
+    def test_cat_stops_when_head_is_done(self, host, capture):
+        code, text = self._pipeline(host, capture,
+                                    "yes spam | cat | head -n 4")
+        assert code == 0
+        assert text.splitlines() == ["spam"] * 4
+
+
+class TestBlockLineTools:
+    """grep, uniq and head FILE read a block per call and split on
+    ``\\n`` only."""
+
+    def test_grep_streams_before_end_of_stream(self, host, capture):
+        reader, writer = make_pipe()
+        out = capture()
+        app = host.launch(ExecSpec("tools.Grep", ["hit"], stdin=reader,
+                                   stdout=out.stream, stderr=out.stream))
+        writer.write(b"miss\nhit one\n")
+        deadline = time.monotonic() + 5.0
+        while out.text != "hit one\n" and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert out.text == "hit one\n"
+        assert app.wait_for(0.05) is None  # still reading, writer open
+        writer.write(b"hit two\n")
+        writer.close()
+        assert app.wait_for(10) == 0
+        assert out.text == "hit one\nhit two\n"
+
+    def test_grep_passes_a_2_mib_line_whole(self, host, capture):
+        line = "x" * (2 * 1024 * 1024)
+        write_text(host.initial.context(), "/tmp/long.txt", line)
+        code, text = run_tool(host, "tools.Grep", ["x", "/tmp/long.txt"],
+                              capture)
+        assert code == 0
+        assert text == line + "\n"
+
+    def test_uniq_collapses_runs_across_block_seams(self, host, capture):
+        # 20,000 bytes of one line: the run spans three 8 KiB reads.
+        stdin = ByteArrayInputStream(b"x\n" * 10000 + b"y\n" + b"x\n")
+        __, text = run_tool(host, "tools.Uniq", ["-c"], capture,
+                            stdin=stdin)
+        assert [line.split() for line in text.splitlines()] == \
+            [["10000", "x"], ["1", "y"], ["1", "x"]]
+
+    def test_crlf_file_reads_the_same_as_piped(self, host, capture):
+        """A file argument and the same bytes on stdin give the same
+        lines: ``\\r`` stays part of the line in both."""
+        payload = b"hit one\r\nmiss\rhit two\r\n"
+        write_text(host.initial.context(), "/tmp/crlf.txt",
+                   payload.decode())
+        __, from_file = run_tool(host, "tools.Grep",
+                                 ["hit", "/tmp/crlf.txt"], capture)
+        __, from_pipe = run_tool(host, "tools.Grep", ["hit"], capture,
+                                 stdin=ByteArrayInputStream(payload))
+        assert from_file == from_pipe == \
+            "hit one\r\nmiss\rhit two\r\n"
+        __, head_file = run_tool(host, "tools.Head",
+                                 ["-n", "1", "/tmp/crlf.txt"], capture)
+        __, head_pipe = run_tool(host, "tools.Head", ["-n", "1"], capture,
+                                 stdin=ByteArrayInputStream(payload))
+        assert head_file == head_pipe == "hit one\r\n"
 
 
 class TestSortUniqTee:
